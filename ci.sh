@@ -17,6 +17,10 @@
 #      The determinism contract says both must pass with identical
 #      semantics; the property tests in tests/parallel_determinism.rs
 #      additionally check bitwise equality across thread counts.
+#   3b. workspace tests       — cargo test --workspace -q in the same two
+#      thread modes. Tier-1's root `cargo test -q` runs only the umbrella
+#      package's integration tests; this runs every crate's unit tests and
+#      doctests too.
 #   4. perf smoke             — the bench/ landscape smoke emits
 #      BENCH_landscape.json (points/sec for a 32×32 grid on a 16-node
 #      graph, 4-thread speedup gated at >= 2x when cores > 1), the
@@ -55,6 +59,12 @@ RED_QAOA_THREADS=1 cargo test -q
 
 echo "==> tier-1 (parallel: RED_QAOA_THREADS unset): cargo test -q"
 env -u RED_QAOA_THREADS cargo test -q
+
+echo "==> workspace tests (serial: RED_QAOA_THREADS=1): cargo test --workspace -q"
+RED_QAOA_THREADS=1 cargo test --workspace -q
+
+echo "==> workspace tests (parallel: RED_QAOA_THREADS unset): cargo test --workspace -q"
+env -u RED_QAOA_THREADS cargo test --workspace -q
 
 echo "==> perf smoke: landscape grid points/sec -> BENCH_landscape.json"
 cargo run --quiet --release -p bench --bin landscape_smoke BENCH_landscape.json

@@ -33,7 +33,7 @@ fn bench_ideal_pipeline(c: &mut Criterion) {
         let graph = bench_graph(n, n as u64);
         group.bench_with_input(BenchmarkId::from_parameter(n), &graph, |b, g| {
             let mut rng = mathkit::rng::seeded(31);
-            b.iter(|| run_ideal(g, &pipeline_options(), &mut rng).unwrap())
+            b.iter(|| run_ideal(g, None, &pipeline_options(), &mut rng).unwrap())
         });
     }
     group.finish();
@@ -46,7 +46,7 @@ fn bench_noisy_pipeline(c: &mut Criterion) {
     let noise = fake_toronto().noise;
     group.bench_function("8_nodes", |b| {
         let mut rng = mathkit::rng::seeded(37);
-        b.iter(|| run_noisy(&graph, &pipeline_options(), &noise, 8, &mut rng).unwrap())
+        b.iter(|| run_noisy(&graph, None, &pipeline_options(), &noise, 8, &mut rng).unwrap())
     });
     group.finish();
 }

@@ -7,13 +7,13 @@
 //! the job-specific work runs on the job's RNG substream. The dispatch
 //! ([`execute`]) is a pure function of `(engine config, job, job_seed)` —
 //! which is the whole determinism story: nothing in here can observe which
-//! worker, lane, or scheduling order ran it.
+//! worker or scheduling order ran it.
 
-use super::builder::{validate_pipeline_options, EvaluatorBackend};
+use super::builder::validate_pipeline_options;
 use super::Engine;
 use crate::pipeline::{
-    run_ideal_with_reduction, run_noisy_with_reduction, CircuitReduction, NoisyPipelineOutcome,
-    PipelineOptions, PipelineOutcome,
+    depth_metrics, run_ideal, run_noisy, validate_trajectories, CircuitReduction,
+    NoisyPipelineOutcome, PipelineOptions, PipelineOutcome,
 };
 use crate::reduction::{ReducedGraph, ReductionOptions};
 use crate::throughput::relative_throughput;
@@ -21,11 +21,8 @@ use crate::transfer::{optimized_transfer, OptimizedTransfer};
 use crate::RedQaoaError;
 use graphlib::Graph;
 use mathkit::rng::seeded;
-use qaoa::depth::{compile_maxcut, DepthMetrics};
-use qaoa::evaluator::{
-    AnalyticP1Evaluator, AutoEvaluator, EdgeLocalEvaluator, ScheduledCircuitEvaluator,
-    StatevectorEvaluator,
-};
+use qaoa::depth::DepthMetrics;
+use qaoa::evaluator::{AutoEvaluator, ScheduledCircuitEvaluator};
 use qaoa::landscape::Landscape;
 use qaoa::maxcut::brute_force_maxcut;
 use qaoa::optimize::{approximation_ratio, paper_restarts, OptimizeDriver, OptimizerConfig};
@@ -61,14 +58,14 @@ impl ReduceJob {
 /// the reduced graph, transfer back, and report against the plain-QAOA
 /// baseline. With [`PipelineJob::noisy_trajectories`] set, both
 /// optimizations run under the engine's noise model instead
-/// ([`crate::pipeline::run_noisy_with_reduction`]).
+/// ([`crate::pipeline::run_noisy`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineJob {
     /// The graph to run the pipeline on.
     pub graph: Graph,
     /// Per-job options; `None` uses the engine's configured defaults.
     pub options: Option<PipelineOptions>,
-    /// `Some(t)` runs the *noisy* pipeline with `t` trajectories per
+    /// `Some(t)` runs the *noisy* pipeline with `t ≥ 1` trajectories per
     /// evaluation; requires the engine to have a noise model
     /// ([`EngineBuilder::noise`](super::EngineBuilder::noise)).
     pub noisy_trajectories: Option<usize>,
@@ -99,8 +96,8 @@ impl PipelineJob {
 }
 
 /// A `p = 1` energy-landscape scan on a `width × width` `(γ, β)` grid,
-/// evaluated with the engine's configured [`EvaluatorBackend`] — optionally
-/// on the graph's cached reduction instead of the graph itself.
+/// evaluated with the [`AutoEvaluator`] — optionally on the graph's cached
+/// reduction instead of the graph itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LandscapeJob {
     /// The graph whose landscape is scanned.
@@ -111,7 +108,7 @@ pub struct LandscapeJob {
     pub reduce_first: bool,
     /// Per-job circuit-reduction mode; `None` uses the engine's default.
     /// Depth modes scan with the [`ScheduledCircuitEvaluator`] (the exact
-    /// depth-scheduled gate circuit) instead of the configured backend, and
+    /// depth-scheduled gate circuit) instead of the [`AutoEvaluator`], and
     /// [`CircuitReduction::Depth`] makes [`LandscapeJob::reduce_first`] scan
     /// the graph itself (the identity reduction).
     pub circuit: Option<CircuitReduction>,
@@ -505,42 +502,37 @@ pub(super) fn execute(
                 }
                 None => engine.pipeline_options(),
             };
-            // Resolve the noise model before reducing: a noisy job on an
-            // engine without one must fail cheaply, not after paying for
-            // the full SA binary search.
-            let noise = match job.noisy_trajectories {
+            // Resolve the noise model and trajectory count before reducing:
+            // a bad noisy job must fail cheaply, not after paying for the
+            // full SA binary search.
+            let noisy = match job.noisy_trajectories {
                 None => None,
-                Some(trajectories) => match engine.noise_model() {
-                    Some(noise) => Some(noise),
-                    None => {
-                        return Err(RedQaoaError::invalid_parameter(
+                Some(trajectories) => {
+                    validate_trajectories(trajectories)?;
+                    let noise = engine.noise_model().ok_or_else(|| {
+                        RedQaoaError::invalid_parameter(
                             "noisy_trajectories",
                             trajectories,
                             "engine has no noise model (set EngineBuilder::noise)",
-                        ));
-                    }
-                },
+                        )
+                    })?;
+                    Some((noise, trajectories))
+                }
             };
-            // Depth-only mode skips node reduction entirely: the identity
-            // reduction costs no annealing, consumes no RNG, and leaves the
-            // cache (whose key covers only ReductionOptions) untouched.
-            let reduction = if options.circuit.wants_node_reduction() {
-                engine.reduce_cached(&job.graph, &options.reduction)?
-            } else {
-                ReducedGraph::identity(&job.graph)
-            };
+            let reduction =
+                engine.node_reduction(&job.graph, &options.reduction, options.circuit)?;
             let mut rng = seeded(job_seed);
-            match (job.noisy_trajectories, noise) {
-                (Some(trajectories), Some(noise)) => run_noisy_with_reduction(
+            match noisy {
+                Some((noise, trajectories)) => run_noisy(
                     &job.graph,
-                    reduction,
+                    Some(reduction),
                     options,
                     noise,
                     trajectories,
                     &mut rng,
                 )
                 .map(JobOutput::NoisyPipeline),
-                _ => run_ideal_with_reduction(&job.graph, reduction, options, &mut rng)
+                None => run_ideal(&job.graph, Some(reduction), options, &mut rng)
                     .map(JobOutput::Pipeline),
             }
         }
@@ -557,31 +549,17 @@ pub(super) fn execute(
                 .unwrap_or_else(|| engine.pipeline_options().circuit);
             // In depth-only mode `reduce_first` scans the graph itself (the
             // identity reduction) — no annealing, no cache traffic.
-            let reduction = if job.reduce_first && circuit.wants_node_reduction() {
-                Some(engine.reduce_cached(&job.graph, engine.reduction_options())?)
+            let reduction = if job.reduce_first {
+                Some(engine.node_reduction(&job.graph, engine.reduction_options(), circuit)?)
             } else {
                 None
             };
-            let graph = reduction.as_ref().map(|r| r.graph()).unwrap_or(&job.graph);
-            // Depth modes scan the exact depth-scheduled gate circuit; the
-            // configured backend choice only applies to the legacy mode.
+            let graph = reduction.as_ref().map_or(&job.graph, ReducedGraph::graph);
+            // Depth modes scan the exact depth-scheduled gate circuit.
             let landscape = if circuit.wants_depth() {
                 Landscape::evaluate(job.width, &ScheduledCircuitEvaluator::new(graph, 1)?)
             } else {
-                match engine.evaluator_backend() {
-                    EvaluatorBackend::Auto => {
-                        Landscape::evaluate(job.width, &AutoEvaluator::new(graph, 1)?)
-                    }
-                    EvaluatorBackend::Statevector => {
-                        Landscape::evaluate(job.width, &StatevectorEvaluator::new(graph, 1)?)
-                    }
-                    EvaluatorBackend::AnalyticP1 => {
-                        Landscape::evaluate(job.width, &AnalyticP1Evaluator::new(graph)?)
-                    }
-                    EvaluatorBackend::EdgeLocal => {
-                        Landscape::evaluate(job.width, &EdgeLocalEvaluator::new(graph, 1)?)
-                    }
-                }
+                Landscape::evaluate(job.width, &AutoEvaluator::new(graph, 1)?)
             };
             Ok(JobOutput::Landscape(landscape))
         }
@@ -614,16 +592,8 @@ pub(super) fn execute(
                 .circuit
                 .unwrap_or_else(|| engine.pipeline_options().circuit);
             let reduction_options = job.reduction.as_ref().unwrap_or(engine.reduction_options());
-            let reduction = if circuit.wants_node_reduction() {
-                engine.reduce_cached(&job.graph, reduction_options)?
-            } else {
-                ReducedGraph::identity(&job.graph)
-            };
-            let depth = if circuit.wants_depth() {
-                Some(*compile_maxcut(reduction.graph())?.metrics())
-            } else {
-                None
-            };
+            let reduction = engine.node_reduction(&job.graph, reduction_options, circuit)?;
+            let depth = depth_metrics(reduction.graph(), circuit)?;
             let restarts = job.restarts.unwrap_or_else(|| paper_restarts(job.layers));
             let driver = OptimizeDriver::new(job.optimizer.clone(), restarts, job.max_iters);
             let mut rng = seeded(job_seed);

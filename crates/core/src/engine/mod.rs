@@ -14,22 +14,21 @@
 //! mirrors a request's path through the service:
 //!
 //! * [`builder`](self) — [`EngineBuilder`] validates the whole
-//!   configuration (thread count, warm-start policy, SA knobs, evaluator
-//!   backend, optional noise model, cache geometry, persistence) at
-//!   [`EngineBuilder::build`], naming the offending field in the error, so
-//!   no validation-driven failure is left to job time.
+//!   configuration (thread count, warm-start policy, SA knobs, optional
+//!   noise model, cache geometry, persistence) at [`EngineBuilder::build`],
+//!   naming the offending field in the error, so no validation-driven
+//!   failure is left to job time.
 //! * [`jobs`](self) — typed requests ([`ReduceJob`], [`PipelineJob`],
 //!   [`LandscapeJob`], [`ThroughputJob`], [`OptimizeJob`]) submitted
 //!   one-shot via [`Engine::run`] or batched via [`Engine::run_batch`],
-//!   each returning a typed [`JobOutput`].
-//! * [`scheduler`](self) — batches fan out through a **two-level
-//!   scheduler**: per-job costs are estimated up front, the few clear
-//!   outliers get an exclusive lane where their *inner* scans parallelize,
-//!   and the rest run coarse job-level parallelism
-//!   (`mathkit::parallel::parallel_map_two_level`). Job `i` always derives
-//!   the substream `derive_seed(batch_seed, i)`, so batch results are
-//!   bitwise-identical for every `RED_QAOA_THREADS` value regardless of
-//!   lane placement (`tests/parallel_determinism.rs`,
+//!   each returning a typed [`JobOutput`]. Every job takes one path:
+//!   validate, reduce (through the cache, or the identity reduction in
+//!   depth-only mode), then run the job body on its own RNG substream.
+//!   Batches are one flat fan-out over job indices
+//!   (`mathkit::parallel::parallel_map_indexed`): no lanes, no cost
+//!   estimate. Job `i` always derives the substream
+//!   `derive_seed(batch_seed, i)`, so batch results are bitwise-identical
+//!   for every `RED_QAOA_THREADS` value (`tests/parallel_determinism.rs`,
 //!   `docs/determinism.md`).
 //! * [`cache`](self) — reductions are content-addressed in an N-way
 //!   **sharded** cache with size-aware cost-based eviction: the same
@@ -69,22 +68,21 @@ mod builder;
 mod cache;
 mod jobs;
 mod persist;
-mod scheduler;
 
-pub use builder::{EngineBuilder, EvaluatorBackend};
+pub use builder::EngineBuilder;
 pub use cache::CacheStats;
 pub use jobs::{
     Job, JobOutput, LandscapeJob, OptimizeJob, OptimizeReport, PipelineJob, ReduceJob,
     ThroughputJob,
 };
 
-use crate::pipeline::PipelineOptions;
+use crate::pipeline::{CircuitReduction, PipelineOptions};
 use crate::reduction::{reduce, ReducedGraph, ReductionOptions};
 use crate::RedQaoaError;
 use cache::{anneal_cost, CacheKey, ShardedReductionCache};
 use graphlib::Graph;
 use jobs::execute;
-use mathkit::parallel::{current_threads, parallel_map_two_level, with_threads};
+use mathkit::parallel::{parallel_map_indexed, with_threads};
 use mathkit::rng::{derive_seed, seeded};
 use persist::PersistentStore;
 use qsim::noise::NoiseModel;
@@ -121,7 +119,6 @@ pub struct Engine {
     threads: Option<usize>,
     reduction: ReductionOptions,
     pipeline: PipelineOptions,
-    evaluator: EvaluatorBackend,
     noise: Option<NoiseModel>,
     reduction_seed: u64,
     cache: ShardedReductionCache,
@@ -184,9 +181,7 @@ impl Engine {
     }
 
     /// Runs a batch of jobs, fanning out across the engine's worker threads
-    /// through the two-level scheduler: estimated-cost outliers get an
-    /// exclusive lane where their inner scans parallelize; the rest share
-    /// coarse job-level parallelism (see the [module docs](crate::engine)).
+    /// in one flat `parallel_map_indexed` over the job indices.
     ///
     /// Job `i` runs on the RNG substream `derive_seed(seed, i)` and failures
     /// are reported per job as [`RedQaoaError::Job`] (carrying the index)
@@ -195,22 +190,15 @@ impl Engine {
     ///
     /// **Determinism:** results are bitwise-identical for every
     /// `RED_QAOA_THREADS` value. Each job's work is a pure function of its
-    /// substream and the engine configuration; cached reductions are a pure
-    /// function of content (see [`DEFAULT_REDUCTION_SEED`]); and the
-    /// scheduler only decides *where* a job runs, never what it computes —
-    /// so neither lane placement nor the race for who computes a shared
+    /// substream and the engine configuration, and cached reductions are a
+    /// pure function of content (see [`DEFAULT_REDUCTION_SEED`]), so neither
+    /// the worker a job lands on nor the race for who computes a shared
     /// reduction first can change any output. The full contract lives in
     /// `docs/determinism.md`.
     pub fn run_batch(&self, jobs: &[Job], seed: u64) -> Vec<Result<JobOutput, RedQaoaError>> {
         self.with_thread_policy(|| {
-            let costs: Vec<f64> = jobs
-                .iter()
-                .map(|job| scheduler::estimate_cost(self, job))
-                .collect();
-            let exclusive = scheduler::exclusive_indices(&costs, current_threads());
-            parallel_map_two_level(
+            parallel_map_indexed(
                 jobs.len(),
-                &exclusive,
                 || (),
                 |_, i| {
                     execute(self, &jobs[i], derive_seed(seed, i as u64))
@@ -249,9 +237,21 @@ impl Engine {
         self.noise.as_ref()
     }
 
-    /// The evaluator backend landscape scans use.
-    fn evaluator_backend(&self) -> EvaluatorBackend {
-        self.evaluator
+    /// Step 1 of every job that needs a reduction: the cached SA reduction
+    /// when `circuit` asks for node reduction, otherwise the identity
+    /// reduction, which costs no annealing, consumes no RNG, and leaves the
+    /// cache (whose key covers only [`ReductionOptions`]) untouched.
+    fn node_reduction(
+        &self,
+        graph: &Graph,
+        options: &ReductionOptions,
+        circuit: CircuitReduction,
+    ) -> Result<ReducedGraph, RedQaoaError> {
+        if circuit.wants_node_reduction() {
+            self.reduce_cached(graph, options)
+        } else {
+            Ok(ReducedGraph::identity(graph))
+        }
     }
 
     /// Reduces `graph` through the sharded content-hash cache: a hit
@@ -470,15 +470,9 @@ mod tests {
     #[test]
     fn oversized_jobs_change_lanes_but_never_outputs() {
         // A batch whose landscape dwarfs its siblings: under 4 threads the
-        // scheduler gives it the exclusive (inner-parallel) lane; under 1
-        // thread everything is serial. Outputs must be bitwise-identical.
-        let build = |threads| {
-            Engine::builder()
-                .threads(threads)
-                .evaluator(EvaluatorBackend::AnalyticP1)
-                .build()
-                .unwrap()
-        };
+        // jobs spread over several workers; under 1 thread everything is
+        // serial. Outputs must be bitwise-identical.
+        let build = |threads| Engine::builder().threads(threads).build().unwrap();
         let graph = test_graph(11);
         let jobs = vec![
             Job::Reduce(ReduceJob::new(graph.clone())),

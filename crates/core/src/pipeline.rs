@@ -10,12 +10,18 @@
 //! The pipeline also exposes the plain-QAOA baseline (optimize directly on
 //! `G` with the same budget) so experiments can report relative improvements.
 //!
-//! The free functions here are the **low-level layer**: they take explicit
+//! There are two entry points, [`run_ideal`] and [`run_noisy`] (two only
+//! because the ideal and noisy runs report different outcome types). Both
+//! take an optional precomputed reduction: with `None` they run step 1
+//! themselves on `rng`; with `Some` they skip straight to step 2, drawing
+//! exactly the stream they would have drawn after step 1.
+//!
+//! These free functions are the **low-level layer**: they take explicit
 //! options and an explicit RNG and leave caching, batching, and thread
 //! policy to the caller. Long-lived services should submit
 //! [`crate::engine::PipelineJob`]s to a [`crate::engine::Engine`] instead,
-//! which routes the reduction step through its content-hash cache and calls
-//! [`run_ideal_with_reduction`] / [`run_noisy_with_reduction`] underneath.
+//! which routes the reduction step through its content-hash cache and
+//! passes the result in as `Some(reduction)`.
 
 use crate::reduction::{reduce, ReducedGraph, ReductionOptions};
 use crate::RedQaoaError;
@@ -120,66 +126,28 @@ impl PipelineOutcome {
 /// Runs the ideal (noise-free) Red-QAOA pipeline on `graph` and the
 /// plain-QAOA baseline with the same budget.
 ///
+/// `reduction` is step 1's result when it was computed elsewhere — an entry
+/// of a [`crate::reduction::reduce_pool`] batch, or the engine's cache — and
+/// `None` to run step 1 here on `rng` (see [`PipelineOptions::circuit`]).
+/// Either way `rng` then drives the same stream: in a node-reduction mode,
+/// `run_ideal(g, None, o, rng)` equals `reduce(g, &o.reduction, rng)`
+/// followed by `run_ideal(g, Some(reduction), o, rng)`.
+///
 /// # Errors
 ///
-/// Returns [`RedQaoaError`] if the graph cannot be reduced or is too large
-/// for exact simulation.
+/// Returns [`RedQaoaError`] if the graph cannot be reduced or either graph
+/// is too large for exact simulation.
 pub fn run_ideal<R: Rng>(
     graph: &graphlib::Graph,
+    reduction: Option<ReducedGraph>,
     options: &PipelineOptions,
     rng: &mut R,
 ) -> Result<PipelineOutcome, RedQaoaError> {
-    let reduction = resolve_reduction(graph, options, rng)?;
-    run_ideal_with_reduction(graph, reduction, options, rng)
-}
-
-/// Step 1 under the [`CircuitReduction`] knob: the SA reduction for
-/// node-requesting modes, the RNG-free [`ReducedGraph::identity`] for
-/// depth-only mode.
-fn resolve_reduction<R: Rng>(
-    graph: &graphlib::Graph,
-    options: &PipelineOptions,
-    rng: &mut R,
-) -> Result<ReducedGraph, RedQaoaError> {
-    if options.circuit.wants_node_reduction() {
-        reduce(graph, &options.reduction, rng)
-    } else {
-        Ok(ReducedGraph::identity(graph))
-    }
-}
-
-/// Depth-compiles the Red-QAOA arm's cost layer when the pipeline mode asks
-/// for it; `None` (and no work) otherwise.
-fn resolve_depth(
-    reduction: &ReducedGraph,
-    options: &PipelineOptions,
-) -> Result<Option<DepthMetrics>, RedQaoaError> {
-    if !options.circuit.wants_depth() {
-        return Ok(None);
-    }
-    let schedule = compile_maxcut(reduction.graph()).map_err(RedQaoaError::from)?;
-    Ok(Some(*schedule.metrics()))
-}
-
-/// Runs the ideal pipeline's steps 2 and 3 on a reduction computed
-/// elsewhere — typically one entry of a [`crate::reduction::reduce_pool`]
-/// batch, so experiments can reduce a whole graph pool in parallel and then
-/// drive each pipeline off its precomputed surrogate.
-///
-/// # Errors
-///
-/// Returns [`RedQaoaError`] if either graph is too large for exact
-/// simulation.
-pub fn run_ideal_with_reduction<R: Rng>(
-    graph: &graphlib::Graph,
-    reduction: ReducedGraph,
-    options: &PipelineOptions,
-    rng: &mut R,
-) -> Result<PipelineOutcome, RedQaoaError> {
+    let reduction = resolve_reduction(graph, reduction, options, rng)?;
     // Exact evaluation applies the cost layer as a phase table, so a depth
     // schedule cannot change the ideal numbers — only the metrics report is
     // produced here. The noisy pipeline is where scheduling changes results.
-    let depth = resolve_depth(&reduction, options)?;
+    let depth = depth_metrics(reduction.graph(), options.circuit)?;
     let reduced_evaluator = StatevectorEvaluator::new(reduction.graph(), options.layers)?;
     let original_evaluator = StatevectorEvaluator::new(graph, options.layers)?;
 
@@ -259,46 +227,28 @@ impl NoisyPipelineOutcome {
 /// re-evaluated with an ideal simulator on the original graph, mirroring the
 /// protocol of Section 6.5.
 ///
+/// `reduction` works as in [`run_ideal`]: `None` runs step 1 here on `rng`,
+/// `Some` skips it, and `rng` drives the same stream afterwards either way.
+///
 /// # Errors
 ///
-/// Returns [`RedQaoaError`] if the graph cannot be reduced or simulated.
+/// Returns [`RedQaoaError::InvalidParameter`] naming `noisy_trajectories`
+/// when `trajectories` is 0 (checked before step 1), and [`RedQaoaError`] if
+/// the graph cannot be reduced or either graph is too large to simulate.
 pub fn run_noisy<R: Rng>(
     graph: &graphlib::Graph,
+    reduction: Option<ReducedGraph>,
     options: &PipelineOptions,
     noise: &NoiseModel,
     trajectories: usize,
     rng: &mut R,
 ) -> Result<NoisyPipelineOutcome, RedQaoaError> {
-    let reduction = resolve_reduction(graph, options, rng)?;
-    run_noisy_with_reduction(graph, reduction, options, noise, trajectories, rng)
-}
-
-/// Runs the noisy pipeline's optimization steps on a reduction computed
-/// elsewhere — the noisy counterpart of [`run_ideal_with_reduction`], used by
-/// [`crate::engine::Engine`] so cached reductions skip straight to the
-/// optimization.
-///
-/// `rng` drives exactly the same stream [`run_noisy`] would after its
-/// internal `reduce` call, so `run_noisy(g, o, n, t, rng)` and
-/// `reduce(g, &o.reduction, rng)` followed by this function are identical.
-///
-/// # Errors
-///
-/// Returns [`RedQaoaError`] if either graph is too large to simulate.
-pub fn run_noisy_with_reduction<R: Rng>(
-    graph: &graphlib::Graph,
-    reduction: ReducedGraph,
-    options: &PipelineOptions,
-    noise: &NoiseModel,
-    trajectories: usize,
-    rng: &mut R,
-) -> Result<NoisyPipelineOutcome, RedQaoaError> {
-    let depth = resolve_depth(&reduction, options)?;
+    validate_trajectories(trajectories)?;
+    let reduction = resolve_reduction(graph, reduction, options, rng)?;
+    let depth = depth_metrics(reduction.graph(), options.circuit)?;
     let reduced_evaluator = StatevectorEvaluator::new(reduction.graph(), options.layers)?;
     let original_evaluator = StatevectorEvaluator::new(graph, options.layers)?;
-    let traj = TrajectoryOptions {
-        trajectories: trajectories.max(1),
-    };
+    let traj = TrajectoryOptions { trajectories };
 
     // Dedicated sequential noise streams for the two optimizations keep the
     // runs independent while leaving `rng` free to drive the restart
@@ -345,6 +295,50 @@ pub fn run_noisy_with_reduction<R: Rng>(
     })
 }
 
+/// Step 1 under the [`CircuitReduction`] knob: a reduction computed
+/// elsewhere is used as given; otherwise the SA reduction for
+/// node-requesting modes, or the RNG-free [`ReducedGraph::identity`] for
+/// depth-only mode.
+fn resolve_reduction<R: Rng>(
+    graph: &graphlib::Graph,
+    reduction: Option<ReducedGraph>,
+    options: &PipelineOptions,
+    rng: &mut R,
+) -> Result<ReducedGraph, RedQaoaError> {
+    match reduction {
+        Some(reduction) => Ok(reduction),
+        None if options.circuit.wants_node_reduction() => reduce(graph, &options.reduction, rng),
+        None => Ok(ReducedGraph::identity(graph)),
+    }
+}
+
+/// Depth-compiles `graph`'s cost layer when `circuit` asks for it; `None`
+/// (and no work) otherwise. Shared with the engine's optimize jobs.
+pub(crate) fn depth_metrics(
+    graph: &graphlib::Graph,
+    circuit: CircuitReduction,
+) -> Result<Option<DepthMetrics>, RedQaoaError> {
+    if !circuit.wants_depth() {
+        return Ok(None);
+    }
+    let schedule = compile_maxcut(graph).map_err(RedQaoaError::from)?;
+    Ok(Some(*schedule.metrics()))
+}
+
+/// Rejects a noisy run with zero trajectories per evaluation, naming the
+/// `noisy_trajectories` field. Shared with the engine, which checks before
+/// any annealing.
+pub(crate) fn validate_trajectories(trajectories: usize) -> Result<(), RedQaoaError> {
+    if trajectories == 0 {
+        return Err(RedQaoaError::invalid_parameter(
+            "noisy_trajectories",
+            trajectories,
+            "must be at least 1",
+        ));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,7 +363,7 @@ mod tests {
     fn ideal_pipeline_reaches_near_baseline_quality() {
         let mut rng = seeded(1);
         let graph = connected_gnp(10, 0.4, &mut rng).unwrap();
-        let outcome = run_ideal(&graph, &quick_options(), &mut rng).unwrap();
+        let outcome = run_ideal(&graph, None, &quick_options(), &mut rng).unwrap();
         assert!(outcome.reduction.graph().node_count() <= graph.node_count());
         let ratio = outcome.relative_best();
         assert!(ratio > 0.9, "Red-QAOA reached only {ratio:.3} of baseline");
@@ -385,7 +379,7 @@ mod tests {
     fn transfer_then_refine_improves_or_matches_transfer_alone() {
         let mut rng = seeded(2);
         let graph = connected_gnp(9, 0.45, &mut rng).unwrap();
-        let outcome = run_ideal(&graph, &quick_options(), &mut rng).unwrap();
+        let outcome = run_ideal(&graph, None, &quick_options(), &mut rng).unwrap();
         let original_instance = QaoaInstance::new(&graph, 1).unwrap();
         let transferred_value = original_instance.expectation(&outcome.transferred_params);
         assert!(outcome.final_value + 1e-9 >= transferred_value);
@@ -396,7 +390,7 @@ mod tests {
         let mut rng = seeded(3);
         let graph = connected_gnp(8, 0.45, &mut rng).unwrap();
         let noise = fake_toronto().noise;
-        let outcome = run_noisy(&graph, &quick_options(), &noise, 16, &mut rng).unwrap();
+        let outcome = run_noisy(&graph, None, &quick_options(), &noise, 16, &mut rng).unwrap();
         assert!(outcome.red_qaoa_ideal_value > 0.0);
         assert!(outcome.baseline_ideal_value > 0.0);
         assert!(outcome.relative_improvement().abs() < 1.0);
@@ -411,7 +405,7 @@ mod tests {
             circuit: qaoa::depth::CircuitReduction::Depth,
             ..quick_options()
         };
-        let outcome = run_ideal(&graph, &options, &mut rng).unwrap();
+        let outcome = run_ideal(&graph, None, &options, &mut rng).unwrap();
         // Identity reduction: the "reduced" graph is the original.
         assert_eq!(outcome.reduction.graph().node_count(), graph.node_count());
         assert_eq!(outcome.reduction.and_ratio, 1.0);
@@ -430,7 +424,7 @@ mod tests {
             ..quick_options()
         };
         let noise = fake_toronto().noise;
-        let outcome = run_noisy(&graph, &options, &noise, 8, &mut rng).unwrap();
+        let outcome = run_noisy(&graph, None, &options, &noise, 8, &mut rng).unwrap();
         let depth = outcome.depth.expect("depth metrics present");
         // The compiled layer belongs to the *reduced* graph.
         assert_eq!(
@@ -444,13 +438,13 @@ mod tests {
     fn legacy_mode_reports_no_depth_metrics() {
         let mut rng = seeded(7);
         let graph = connected_gnp(8, 0.45, &mut rng).unwrap();
-        let outcome = run_ideal(&graph, &quick_options(), &mut rng).unwrap();
+        let outcome = run_ideal(&graph, None, &quick_options(), &mut rng).unwrap();
         assert!(outcome.depth.is_none());
     }
 
     #[test]
     fn pipeline_errors_on_degenerate_graphs() {
         let mut rng = seeded(4);
-        assert!(run_ideal(&graphlib::Graph::new(3), &quick_options(), &mut rng).is_err());
+        assert!(run_ideal(&graphlib::Graph::new(3), None, &quick_options(), &mut rng).is_err());
     }
 }

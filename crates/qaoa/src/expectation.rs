@@ -369,6 +369,11 @@ pub(crate) fn evolve_qaoa_layers(
 /// the cost of this evaluator scales with the light-cone sizes rather than the
 /// full graph size.
 ///
+/// This function is the independent oracle that the
+/// `edge_local_backend_matches_free_function` unit test and the benchmark's
+/// `cone` check compare [`crate::evaluator::EdgeLocalEvaluator`] against, so
+/// it keeps its own cone construction rather than wrapping the evaluator.
+///
 /// # Errors
 ///
 /// Returns [`QaoaError::GraphTooLarge`] if any light-cone subgraph exceeds

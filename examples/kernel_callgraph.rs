@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("graph\tnodes\tred_nodes\tbaseline\tred_qaoa\timprovement");
     let mut rng = seeded(11);
     for (i, graph) in dataset.graphs.iter().enumerate() {
-        let outcome = match run_noisy(graph, &options, &noise, 12, &mut rng) {
+        let outcome = match run_noisy(graph, None, &options, &noise, 12, &mut rng) {
             Ok(o) => o,
             Err(_) => continue,
         };

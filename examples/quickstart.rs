@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Run the full Red-QAOA pipeline (reduce -> optimize on G' -> transfer
     //    -> refine on G) and the plain-QAOA baseline with the same budget.
-    let outcome = run_ideal(&graph, &PipelineOptions::default(), &mut rng)?;
+    let outcome = run_ideal(&graph, None, &PipelineOptions::default(), &mut rng)?;
     let reduced = outcome.reduction.graph();
     println!(
         "reduced graph  : {} ({}% fewer nodes, {}% fewer edges, AND ratio {:.2})",

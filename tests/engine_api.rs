@@ -291,6 +291,34 @@ fn per_job_pipeline_options_are_validated_before_any_work() {
 }
 
 #[test]
+fn zero_noisy_trajectories_are_rejected_before_any_work() {
+    let noise = qsim::devices::fake_toronto().noise;
+    let engine = Engine::builder().noise(noise).build().unwrap();
+    let graph = test_graph(21);
+    let err = engine
+        .run(&Job::Pipeline(PipelineJob::new(graph.clone()).noisy(0)), 1)
+        .unwrap_err();
+    assert!(
+        matches!(err, RedQaoaError::InvalidParameter { .. }),
+        "{err}"
+    );
+    assert_eq!(err.field(), Some("noisy_trajectories"));
+    // Rejected before any annealing.
+    assert_eq!(engine.cache_stats().misses, 0);
+    // The low-level entry point refuses it the same way.
+    let err = red_qaoa::pipeline::run_noisy(
+        &graph,
+        None,
+        engine.pipeline_options(),
+        &noise,
+        0,
+        &mut seeded(1),
+    )
+    .unwrap_err();
+    assert_eq!(err.field(), Some("noisy_trajectories"));
+}
+
+#[test]
 fn explicitly_set_pipeline_keeps_its_own_reduction_options() {
     let custom = ReductionOptions::builder()
         .and_ratio_threshold(0.9)

@@ -268,12 +268,11 @@ proptest! {
         }
     }
 
-    /// The two-level scheduler (PR 8): a mixed batch containing one
-    /// oversized `LandscapeJob` — whose estimated cost dwarfs its siblings,
-    /// so at 2 and 4 workers it is routed to the exclusive lane where its
-    /// inner grid scan parallelizes — is bitwise-identical across worker
-    /// counts. Lane placement differs per thread count by design; outputs
-    /// must not. A fresh engine per run keeps the cache comparison honest.
+    /// A mixed batch containing one oversized `LandscapeJob` — whose cost
+    /// dwarfs its siblings, so at 2 and 4 workers it shares a worker with
+    /// fewer jobs than at 1 — is bitwise-identical across worker counts.
+    /// Which worker runs which job differs per thread count; outputs must
+    /// not. A fresh engine per run keeps the cache comparison honest.
     #[test]
     fn two_level_scheduled_batches_are_thread_count_invariant(seed in 0u64..100) {
         let graphs: Vec<_> = (0..3)
@@ -284,7 +283,7 @@ proptest! {
             .collect();
         let jobs = vec![
             Job::Reduce(ReduceJob::new(graphs[0].clone())),
-            // Cost 144 ≫ every sibling (~9–16): the scheduler's outlier.
+            // 144 grid points ≫ every sibling's work: the batch's outlier.
             Job::Landscape(LandscapeJob::new(graphs[1].clone(), 12)),
             Job::Throughput(ThroughputJob::new(graphs[2].clone(), 27, 1)),
             Job::Landscape(LandscapeJob::new(graphs[0].clone(), 3).reduced()),
@@ -528,7 +527,7 @@ fn noisy_pipeline_is_thread_count_invariant() {
     let noise = qsim::devices::fake_toronto().noise;
     let run = |threads: usize| {
         with_threads(threads, || {
-            run_noisy(&graph, &options, &noise, 8, &mut seeded(12)).unwrap()
+            run_noisy(&graph, None, &options, &noise, 8, &mut seeded(12)).unwrap()
         })
     };
     let reference = run(1);

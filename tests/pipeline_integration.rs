@@ -53,7 +53,7 @@ fn dataset_graphs_reduce_and_preserve_landscapes() {
 fn ideal_pipeline_outperforms_random_parameters() {
     let mut rng = seeded(2);
     let graph = connected_gnp(10, 0.4, &mut rng).unwrap();
-    let outcome = run_ideal(&graph, &quick_pipeline(), &mut rng).unwrap();
+    let outcome = run_ideal(&graph, None, &quick_pipeline(), &mut rng).unwrap();
     let instance = QaoaInstance::new(&graph, 1).unwrap();
     // Random parameters give |E|/2 in expectation.
     let random_baseline = graph.edge_count() as f64 / 2.0;
@@ -70,7 +70,7 @@ fn noisy_pipeline_runs_on_kernel_callgraph_corpus() {
     let corpus = linux(5).filter_by_nodes(7, 9).take(2);
     let noise = fake_toronto().noise;
     for graph in &corpus.graphs {
-        let outcome = run_noisy(graph, &quick_pipeline(), &noise, 8, &mut rng).unwrap();
+        let outcome = run_noisy(graph, None, &quick_pipeline(), &noise, 8, &mut rng).unwrap();
         assert!(outcome.red_qaoa_ideal_value > 0.0);
         assert!(outcome.baseline_ideal_value > 0.0);
         // Both approaches must stay within the physically possible range.

@@ -51,7 +51,7 @@ fn full_pipeline_smoke_on_small_er_graph() {
         circuit: CircuitReduction::None,
     };
     let noise = fake_toronto().noise;
-    let outcome = run_noisy(&graph, &options, &noise, 6, &mut rng).unwrap();
+    let outcome = run_noisy(&graph, None, &options, &noise, 6, &mut rng).unwrap();
     assert!(outcome.red_qaoa_ideal_value.is_finite());
     assert!(outcome.red_qaoa_ideal_value > 0.0);
     assert!(outcome.red_qaoa_ideal_value <= graph.edge_count() as f64);
