@@ -21,6 +21,12 @@
 #      thread modes. Tier-1's root `cargo test -q` runs only the umbrella
 #      package's integration tests; this runs every crate's unit tests and
 #      doctests too.
+#   3c. benchmark checks      — each perfbench workload (session, corpus,
+#      noisy, cone) runs once traced (--seconds 1 --trace 1, seed 1) and
+#      must report `correct: true` with `failed: 0`. This runs the
+#      benchmark's output checks: the cone_golden.txt energies, the
+#      cross-check against edge_local_expectation, and the bitwise replay
+#      of every traced request.
 #   4. perf smoke             — the bench/ landscape smoke emits
 #      BENCH_landscape.json (points/sec for a 32×32 grid on a 16-node
 #      graph, 4-thread speedup gated at >= 2x when cores > 1), the
@@ -65,6 +71,14 @@ RED_QAOA_THREADS=1 cargo test --workspace -q
 
 echo "==> workspace tests (parallel: RED_QAOA_THREADS unset): cargo test --workspace -q"
 env -u RED_QAOA_THREADS cargo test --workspace -q
+
+echo "==> benchmark checks: one traced perfbench run per workload"
+for workload in session corpus noisy cone; do
+    result=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 1 | tail -n 1)
+    echo "$result" | jq -e '.correct == true and .failed == 0' >/dev/null \
+        || { echo "FAIL: perfbench $workload: $result"; exit 1; }
+done
 
 echo "==> perf smoke: landscape grid points/sec -> BENCH_landscape.json"
 cargo run --quiet --release -p bench --bin landscape_smoke BENCH_landscape.json

@@ -26,7 +26,7 @@
 
 use super::ZzTerm;
 use crate::expectation::{evolve_qaoa_layers, MAX_EXACT_NODES};
-use crate::maxcut::cut_values;
+use crate::maxcut::cut_levels;
 use crate::params::QaoaParams;
 use crate::QaoaError;
 use graphlib::subgraph::induced_subgraph;
@@ -211,8 +211,14 @@ pub fn factored_edge_local_expectation(
         let sub = induced_subgraph(graph, &nodes).expect("nodes are in range");
         let local_u = sub.nodes.binary_search(&rep.u).expect("u in subgraph");
         let local_v = sub.nodes.binary_search(&rep.v).expect("v in subgraph");
-        let table = cut_values(&sub.graph)?;
-        evolve_qaoa_layers(&mut workspace, sub.graph.node_count(), &table, params);
+        let levels = cut_levels(&sub.graph)?;
+        evolve_qaoa_layers(
+            &mut workspace,
+            sub.graph.node_count(),
+            &levels,
+            sub.graph.edge_count(),
+            params,
+        );
         let term = 0.5 * (1.0 - workspace.state().expectation_zz(local_u, local_v));
         total += class.multiplicity() as f64 * term;
     }

@@ -17,7 +17,7 @@
 //!   precomputed per-edge degree/triangle terms (`O(|E|)` arithmetic per
 //!   point, no graph walks).
 //! * [`EdgeLocalEvaluator`] — the light-cone decomposition with per-edge
-//!   subgraphs and cut tables precomputed once per graph.
+//!   subgraphs and `u8` cut levels precomputed once per graph.
 //! * [`ScheduledCircuitEvaluator`] — exact simulation of the explicit
 //!   depth-scheduled gate circuit (see [`crate::depth`]); unitarily equal to
 //!   the statevector backend but exercising the exact gate sequence noisy
@@ -51,7 +51,7 @@
 
 use crate::analytic::edge_expectation_p1;
 use crate::expectation::{QaoaInstance, MAX_EXACT_NODES};
-use crate::maxcut::cut_values;
+use crate::maxcut::cut_levels;
 use crate::params::QaoaParams;
 use crate::QaoaError;
 use graphlib::subgraph::induced_subgraph;
@@ -242,11 +242,14 @@ impl EnergyEvaluator for AnalyticP1Evaluator {
     }
 }
 
-/// One precomputed edge light cone of the edge-local backend.
+/// One precomputed edge light cone of the edge-local backend: its qubit
+/// count, the `u8` cut level of every basis state and its edge count (the
+/// highest level), and the edge's local endpoints.
 #[derive(Debug, Clone, PartialEq)]
 struct EdgeCone {
     qubits: usize,
-    cut_table: Vec<f64>,
+    cut_levels: Vec<u8>,
+    edges: usize,
     local_u: usize,
     local_v: usize,
 }
@@ -294,7 +297,8 @@ impl EdgeLocalEvaluator {
             let local_v = sub.nodes.binary_search(&v).expect("v in subgraph");
             cones.push(EdgeCone {
                 qubits: sub.graph.node_count(),
-                cut_table: cut_values(&sub.graph)?,
+                cut_levels: cut_levels(&sub.graph)?,
+                edges: sub.graph.edge_count(),
                 local_u,
                 local_v,
             });
@@ -319,7 +323,13 @@ impl EnergyEvaluator for EdgeLocalEvaluator {
         assert_eq!(params.layers(), self.layers, "layer count mismatch");
         let mut total = 0.0;
         for cone in &self.cones {
-            crate::expectation::evolve_qaoa_layers(scratch, cone.qubits, &cone.cut_table, params);
+            crate::expectation::evolve_qaoa_layers(
+                scratch,
+                cone.qubits,
+                &cone.cut_levels,
+                cone.edges,
+                params,
+            );
             total += 0.5 * (1.0 - scratch.state().expectation_zz(cone.local_u, cone.local_v));
         }
         total

@@ -3,9 +3,9 @@
 //! Three evaluators are provided:
 //!
 //! * [`QaoaInstance::expectation`] — exact statevector evaluation. The cost
-//!   layer is diagonal, so it is applied as a phase table rather than as
-//!   individual gates, which makes full landscape sweeps cheap for ≤ ~20
-//!   qubits.
+//!   layer is diagonal, so it is applied from the per-state cut levels (one
+//!   phase per distinct cut value) rather than as individual gates, which
+//!   makes full landscape sweeps cheap for ≤ ~20 qubits.
 //! * [`edge_local_expectation`] — exact evaluation through the edge
 //!   light-cone decomposition (Section 3.3 / Equation 7): each edge term is
 //!   simulated on the induced subgraph of nodes within distance `p` of the
@@ -17,13 +17,12 @@
 
 use crate::circuit::qaoa_circuit;
 use crate::depth::{compile_maxcut, scheduled_qaoa_circuit, DepthMetrics, DepthSchedule};
-use crate::maxcut::cut_values;
+use crate::maxcut::cut_levels;
 use crate::params::QaoaParams;
 use crate::QaoaError;
 use graphlib::subgraph::induced_subgraph;
 use graphlib::traversal::nodes_within_distance_of_edge;
 use graphlib::Graph;
-use qsim::circuit::Gate;
 use qsim::noise::NoiseModel;
 use qsim::statevector::{StateVector, StatevectorWorkspace};
 use qsim::trajectory::{
@@ -35,12 +34,14 @@ use rand::Rng;
 pub const MAX_EXACT_NODES: usize = 22;
 
 /// A prepared QAOA MaxCut instance: the graph, the layer count, and the
-/// precomputed diagonal of the cost Hamiltonian.
+/// precomputed diagonal of the cost Hamiltonian, both as `f64` values (for
+/// expectations) and as `u8` cut levels (for the cost layer).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QaoaInstance {
     graph: Graph,
     layers: usize,
     cut_table: Vec<f64>,
+    cut_levels: Vec<u8>,
     schedule: Option<DepthSchedule>,
 }
 
@@ -66,10 +67,12 @@ impl QaoaInstance {
                 limit: MAX_EXACT_NODES,
             });
         }
+        let cut_levels = cut_levels(graph)?;
         Ok(Self {
             graph: graph.clone(),
             layers,
-            cut_table: cut_values(graph)?,
+            cut_table: cut_levels.iter().map(|&level| f64::from(level)).collect(),
+            cut_levels,
             schedule: None,
         })
     }
@@ -128,14 +131,20 @@ impl QaoaInstance {
 
     /// Prepares `|ψ(γ, β)⟩` in the workspace: uniform superposition, then
     /// alternating cost-phase and mixer layers. The cost layer is applied as
-    /// a single diagonal pass over the precomputed cut table.
+    /// a single diagonal pass over the precomputed cut levels.
     fn evolve_into<'w>(
         &self,
         workspace: &'w mut StatevectorWorkspace,
         params: &QaoaParams,
     ) -> &'w StateVector {
         assert_eq!(params.layers(), self.layers, "layer count mismatch");
-        evolve_qaoa_layers(workspace, self.graph.node_count(), &self.cut_table, params);
+        evolve_qaoa_layers(
+            workspace,
+            self.graph.node_count(),
+            &self.cut_levels,
+            self.graph.edge_count(),
+            params,
+        );
         workspace.state()
     }
 
@@ -340,8 +349,19 @@ impl QaoaInstance {
 
 /// Shared QAOA layer evolution: resets `workspace` to the uniform
 /// superposition over `qubits` qubits, then applies the alternating
-/// cost-phase (`e^{-iγ H_C}` via the diagonal `cut_table`) and mixer
-/// (`Rx(2β)` on every qubit) layers.
+/// cost-phase and mixer layers.
+///
+/// * The cost layer `e^{-iγ H_C}` is one
+///   [`StateVector::apply_phase_levels`] pass over `cut_levels` (the cut
+///   value of each basis state, at most `edges`): one `cis(-γ·k)` per cut
+///   value `k`, then one multiply per amplitude.
+/// * The mixer `e^{-iβ B}` is [`StateVector::apply_rx_mixer`] with
+///   `θ = 2β`, the RX-only butterfly on every qubit.
+///
+/// Both give the bits of the per-state phase table and of `Gate::Rx(q, 2β)`
+/// applied qubit by qubit, except that an amplitude component that is
+/// exactly zero may carry the other sign. No probability or expectation
+/// can see that sign (see `docs/determinism.md`).
 ///
 /// This is the single definition of the ansatz evolution; the global
 /// statevector backend and the edge-local light-cone backend both route
@@ -349,15 +369,15 @@ impl QaoaInstance {
 pub(crate) fn evolve_qaoa_layers(
     workspace: &mut StatevectorWorkspace,
     qubits: usize,
-    cut_table: &[f64],
+    cut_levels: &[u8],
+    edges: usize,
     params: &QaoaParams,
 ) {
-    workspace.begin_uniform(qubits);
+    let max_level = u8::try_from(edges).expect("cut values fit in a u8 level");
+    let state = workspace.begin_uniform(qubits);
     for (gamma, beta) in params.gammas.iter().zip(&params.betas) {
-        workspace.apply_phase_diagonal(cut_table, -gamma);
-        for q in 0..qubits {
-            workspace.state_mut().apply_gate(Gate::Rx(q, 2.0 * beta));
-        }
+        state.apply_phase_levels(cut_levels, max_level, -gamma);
+        state.apply_rx_mixer(2.0 * beta);
     }
 }
 
@@ -397,8 +417,14 @@ pub fn edge_local_expectation(graph: &Graph, params: &QaoaParams) -> Result<f64,
         let sub = induced_subgraph(graph, &nodes).expect("nodes are in range");
         let local_u = sub.nodes.binary_search(&u).expect("u in subgraph");
         let local_v = sub.nodes.binary_search(&v).expect("v in subgraph");
-        let table = cut_values(&sub.graph)?;
-        evolve_qaoa_layers(&mut workspace, sub.graph.node_count(), &table, params);
+        let levels = cut_levels(&sub.graph)?;
+        evolve_qaoa_layers(
+            &mut workspace,
+            sub.graph.node_count(),
+            &levels,
+            sub.graph.edge_count(),
+            params,
+        );
         total += 0.5 * (1.0 - workspace.state().expectation_zz(local_u, local_v));
     }
     Ok(total)

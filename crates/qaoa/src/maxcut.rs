@@ -5,8 +5,10 @@
 //! whose endpoints fall in different partitions; the QAOA cost Hamiltonian
 //! (Equation 5) is diagonal with exactly these values on the diagonal.
 
+use crate::expectation::MAX_EXACT_NODES;
 use crate::QaoaError;
 use graphlib::Graph;
+use std::ops::{Add, Sub};
 
 /// Number of edges cut by the assignment `z` (bit `i` = partition of node `i`).
 pub fn cut_value(graph: &Graph, assignment: u64) -> usize {
@@ -32,19 +34,52 @@ pub fn cut_values(graph: &Graph) -> Result<Vec<f64>, QaoaError> {
             limit: 26,
         });
     }
-    let edges = graph.edges();
-    let dim = 1usize << n;
-    let mut values = vec![0.0f64; dim];
-    for &(u, v) in &edges {
-        let ubit = 1usize << u;
-        let vbit = 1usize << v;
-        for (z, value) in values.iter_mut().enumerate() {
-            if ((z & ubit) == 0) != ((z & vbit) == 0) {
-                *value += 1.0;
-            }
+    Ok(cut_table(graph))
+}
+
+/// The cut value of every basis state as a `u8` level: `levels[z] = cut(z)`,
+/// the same integers as [`cut_values`] at an eighth of the memory. The exact
+/// evaluators apply the cost layer from these levels with one phase per
+/// level.
+///
+/// # Errors
+///
+/// Returns [`QaoaError::GraphTooLarge`] if the graph has more than
+/// [`MAX_EXACT_NODES`] nodes. Within that limit a graph has at most 231
+/// edges, so every cut value fits in a `u8`.
+pub fn cut_levels(graph: &Graph) -> Result<Vec<u8>, QaoaError> {
+    let n = graph.node_count();
+    if n > MAX_EXACT_NODES {
+        return Err(QaoaError::GraphTooLarge {
+            nodes: n,
+            limit: MAX_EXACT_NODES,
+        });
+    }
+    Ok(cut_table(graph))
+}
+
+/// Builds `table[z] = cut(z)` in `O(2^n)` by a recurrence over the highest
+/// set bit `h` of `z`: with `z = z' | 2^h` and `z' < 2^h`, moving node `h`
+/// to side 1 cuts its edges to side-0 nodes and uncuts those to side-1
+/// nodes, so `cut(z) = cut(z') + deg(h) − 2·|z' ∩ N(h)|`. Every step is an
+/// exact small-integer operation in `T`; `cut(z') + deg(h)` never exceeds
+/// `|E|`.
+fn cut_table<T>(graph: &Graph) -> Vec<T>
+where
+    T: Copy + Default + From<u8> + Add<Output = T> + Sub<Output = T>,
+{
+    let n = graph.node_count();
+    let mut table = vec![T::default(); 1usize << n];
+    for h in 0..n {
+        let neighbors = graph.neighbors(h).fold(0usize, |mask, u| mask | 1 << u);
+        let degree = T::from(neighbors.count_ones() as u8);
+        let (low, high) = table.split_at_mut(1usize << h);
+        for (z, (&below, value)) in low.iter().zip(high.iter_mut()).enumerate() {
+            let uncut = T::from(2 * (z & neighbors).count_ones() as u8);
+            *value = below + degree - uncut;
         }
     }
-    Ok(values)
+    table
 }
 
 /// Result of the brute-force MaxCut solver.
@@ -154,6 +189,18 @@ mod tests {
         for z in 0..(1usize << 5) {
             assert_eq!(table[z], cut_value(&g, z as u64) as f64);
         }
+    }
+
+    #[test]
+    fn cut_levels_match_cut_values() {
+        let g = complete(6);
+        let levels = cut_levels(&g).unwrap();
+        let values = cut_values(&g).unwrap();
+        assert_eq!(levels.len(), values.len());
+        for (&level, &value) in levels.iter().zip(&values) {
+            assert_eq!(f64::from(level), value);
+        }
+        assert!(cut_levels(&graphlib::Graph::new(MAX_EXACT_NODES + 1)).is_err());
     }
 
     #[test]

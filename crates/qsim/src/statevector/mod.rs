@@ -17,6 +17,20 @@
 //!   oracle (`tests/qsim_kernel_equivalence.rs`) and as the benchmark
 //!   baseline.
 //!
+//! Two kernels exist only for the exact QAOA evolution
+//! (`qaoa::expectation::evolve_qaoa_layers`), in both backends:
+//!
+//! * `apply_phase_levels` — the cost layer from `u8` cut levels: one
+//!   `Complex64::cis` per level instead of one per basis state
+//!   ([`StateVector::apply_phase_levels`]); same bits as
+//!   [`StateVector::apply_diagonal`] over the per-state `cis` table.
+//! * `apply_rx_mixer` — `RX(θ)` on every qubit with only the rotation's
+//!   real and imaginary entries ([`StateVector::apply_rx_mixer`]); same bits as
+//!   `Gate::Rx` through [`StateVector::apply_single`] except the sign of an
+//!   exact zero, which no probability or expectation can see.
+//!
+//! Gate circuits, `Gate::Rx` included, always run the general kernels.
+//!
 //! The backend is selected per process with the [`KERNEL_ENV`]
 //! (`RED_QAOA_KERNEL=scalar|vectorized`) environment variable, mirroring
 //! `RED_QAOA_THREADS`, or scoped in code with [`with_kernel`]. Because the
@@ -383,6 +397,51 @@ impl StateVector {
         }
     }
 
+    /// Applies `|z⟩ ↦ e^{i·scale·levels[z]} |z⟩` for integer levels
+    /// `0..=max_level`, computing one `Complex64::cis(scale · k)` per level
+    /// `k` instead of one per basis state.
+    ///
+    /// This is the QAOA cost layer: with `scale = -γ` and `levels` the cut
+    /// value of each basis state it applies `e^{-iγ H_C}`. The result has
+    /// the same bits as [`StateVector::apply_diagonal`] with the table
+    /// `cis(scale · levels[z])`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `levels.len()` does not equal `2^n`, or (scalar kernel) if a
+    /// level exceeds `max_level`.
+    pub fn apply_phase_levels(&mut self, levels: &[u8], max_level: u8, scale: f64) {
+        assert_eq!(
+            levels.len(),
+            self.amplitudes.len(),
+            "level table length must equal the state dimension"
+        );
+        debug_assert!(levels.iter().all(|&l| l <= max_level));
+        match current_kernel() {
+            KernelMode::Scalar => {
+                reference::apply_phase_levels(&mut self.amplitudes, levels, max_level, scale)
+            }
+            KernelMode::Vectorized => {
+                vectorized::apply_phase_levels(&mut self.amplitudes, levels, max_level, scale)
+            }
+        }
+    }
+
+    /// Applies `RX(θ)` to every qubit: the QAOA mixer layer `e^{-iβ B}` with
+    /// `θ = 2β`.
+    ///
+    /// Runs the RX-only kernel, which skips the products by zero that the
+    /// general [`StateVector::apply_single`] butterfly computes. Every
+    /// nonzero amplitude component has the same bits as applying
+    /// `Gate::Rx(q, θ)` qubit by qubit; only the sign of an exact zero can
+    /// differ, so every probability, norm and expectation is bit-identical.
+    pub fn apply_rx_mixer(&mut self, theta: f64) {
+        match current_kernel() {
+            KernelMode::Scalar => reference::apply_rx_mixer(&mut self.amplitudes, theta),
+            KernelMode::Vectorized => vectorized::apply_rx_mixer(&mut self.amplitudes, theta),
+        }
+    }
+
     /// Probability that measuring `qubit` yields `1`.
     ///
     /// # Panics
@@ -582,11 +641,12 @@ pub fn sample_counts_from_probabilities_into<R: Rng>(
 /// Reusable scratch buffers for repeated statevector evaluations.
 ///
 /// Landscape scans evaluate the same circuit family thousands of times; a
-/// fresh `2^n` amplitude vector (plus a `2^n` phase table per cost layer)
-/// per evaluation is pure allocator traffic. A workspace owns both buffers
-/// (plus a probability buffer for distribution readouts) and recycles them:
-/// after the first evaluation of a given size no further allocation
-/// happens. Buffers only grow, so one workspace can serve subgraphs of
+/// fresh `2^n` amplitude vector per evaluation is pure allocator traffic. A
+/// workspace owns the amplitudes (plus a probability buffer for
+/// distribution readouts) and recycles them: after the first evaluation of
+/// a given size no further allocation happens. It owns no phase table: the
+/// cost layer ([`StateVector::apply_phase_levels`]) keeps its per-level
+/// phases on the stack. Buffers only grow, so one workspace can serve subgraphs of
 /// mixed sizes (the edge-local light-cone evaluator does this).
 ///
 /// A workspace is intentionally `!Sync`-by-use: each worker thread of a
@@ -594,7 +654,6 @@ pub fn sample_counts_from_probabilities_into<R: Rng>(
 #[derive(Debug, Clone)]
 pub struct StatevectorWorkspace {
     state: StateVector,
-    phases: Vec<Complex64>,
     probabilities: Vec<f64>,
 }
 
@@ -603,7 +662,6 @@ impl StatevectorWorkspace {
     pub fn new() -> Self {
         Self {
             state: StateVector::new(0),
-            phases: Vec::new(),
             probabilities: Vec::new(),
         }
     }
@@ -616,7 +674,6 @@ impl StatevectorWorkspace {
     pub fn with_qubits(qubit_count: usize) -> Self {
         let mut ws = Self::new();
         ws.begin_zero(qubit_count);
-        ws.phases.reserve(1 << qubit_count);
         ws
     }
 
@@ -632,22 +689,6 @@ impl StatevectorWorkspace {
     pub fn begin_uniform(&mut self, qubit_count: usize) -> &mut StateVector {
         self.state.reinitialize_uniform(qubit_count);
         &mut self.state
-    }
-
-    /// Applies the diagonal unitary `|z⟩ ↦ e^{i·scale·table[z]} |z⟩` to the
-    /// working state, building the phase table in the reused scratch buffer.
-    ///
-    /// This is the QAOA cost layer: with `scale = -γ` and `table` the
-    /// cut-value diagonal it applies `e^{-iγ H_C}` in one pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `table.len()` differs from the state dimension.
-    pub fn apply_phase_diagonal(&mut self, table: &[f64], scale: f64) {
-        self.phases.clear();
-        self.phases
-            .extend(table.iter().map(|&v| Complex64::cis(scale * v)));
-        self.state.apply_diagonal(&self.phases);
     }
 
     /// Computes the working state's measurement distribution into the
@@ -929,19 +970,27 @@ mod tests {
 
     #[test]
     fn workspace_phase_diagonal_matches_explicit_table() {
-        let table = [0.0, 1.0, 2.0, 1.0];
+        let levels = [0u8, 1, 2, 1];
         let mut ws = StatevectorWorkspace::with_qubits(2);
         ws.begin_uniform(2);
-        ws.apply_phase_diagonal(&table, -0.7);
+        ws.state_mut().apply_phase_levels(&levels, 2, -0.7);
         let mut reference = StateVector::uniform_superposition(2);
-        let phases: Vec<Complex64> = table.iter().map(|&v| Complex64::cis(-0.7 * v)).collect();
+        let phases: Vec<Complex64> = levels
+            .iter()
+            .map(|&l| Complex64::cis(-0.7 * f64::from(l)))
+            .collect();
         reference.apply_diagonal(&phases);
-        assert_eq!(ws.state().amplitudes(), reference.amplitudes());
-        // A second application reuses the scratch without reallocation side
-        // effects on the result.
+        let bits = |sv: &StateVector| -> Vec<(u64, u64)> {
+            sv.amplitudes()
+                .iter()
+                .map(|a| (a.re.to_bits(), a.im.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(ws.state()), bits(&reference));
+        // A second application in the reused workspace gives the same bits.
         ws.begin_uniform(2);
-        ws.apply_phase_diagonal(&table, -0.7);
-        assert_eq!(ws.state().amplitudes(), reference.amplitudes());
+        ws.state_mut().apply_phase_levels(&levels, 2, -0.7);
+        assert_eq!(bits(ws.state()), bits(&reference));
     }
 
     #[test]

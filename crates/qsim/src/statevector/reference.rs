@@ -124,6 +124,55 @@ pub fn apply_diagonal(amplitudes: &mut [Complex64], phases: &[Complex64]) {
     }
 }
 
+/// Applies `RX(θ)` to every qubit in turn (the QAOA mixer layer) by the
+/// strided butterfly with only the rotation's real entry `c = cos(θ/2)` and
+/// imaginary entry `-i·s`, `s = sin(θ/2)`:
+/// `a0' = (c·a0.re + s·a1.im) + i(c·a0.im − s·a1.re)` and the same form for
+/// `a1`.
+///
+/// Drops the products by the matrix's zero parts that [`apply_single`]
+/// computes, so every nonzero component has the same bits as
+/// `apply_single` with the `Gate::Rx` matrix; only the sign of an exact
+/// zero can differ.
+pub fn apply_rx_mixer(amplitudes: &mut [Complex64], theta: f64) {
+    let c = (theta / 2.0).cos();
+    let s = (theta / 2.0).sin();
+    let dim = amplitudes.len();
+    for target in 0..dim.trailing_zeros() {
+        let stride = 1usize << target;
+        let mut base = 0usize;
+        while base < dim {
+            for offset in base..base + stride {
+                let i0 = offset;
+                let i1 = offset + stride;
+                let a0 = amplitudes[i0];
+                let a1 = amplitudes[i1];
+                amplitudes[i0] = Complex64::new(c * a0.re + s * a1.im, c * a0.im - s * a1.re);
+                amplitudes[i1] = Complex64::new(c * a1.re + s * a0.im, c * a1.im - s * a0.re);
+            }
+            base += stride * 2;
+        }
+    }
+}
+
+/// Applies the diagonal unitary `|z⟩ ↦ e^{i·scale·levels[z]} |z⟩` for
+/// integer levels `0..=max_level`: computes `Complex64::cis(scale · k)` once
+/// per level `k`, then multiplies amplitude `z` by the phase of its level.
+///
+/// # Panics
+///
+/// Panics if a level exceeds `max_level`.
+pub fn apply_phase_levels(amplitudes: &mut [Complex64], levels: &[u8], max_level: u8, scale: f64) {
+    let mut phases = [Complex64::zero(); 256];
+    for (k, phase) in phases[..=max_level as usize].iter_mut().enumerate() {
+        *phase = Complex64::cis(scale * k as f64);
+    }
+    let phases = &phases[..=max_level as usize];
+    for z in 0..amplitudes.len() {
+        amplitudes[z] *= phases[levels[z] as usize];
+    }
+}
+
 /// Probability that measuring `qubit` yields `1` (masked lane-order sum).
 pub fn prob_one(amplitudes: &[Complex64], qubit: usize) -> f64 {
     let bit = 1usize << qubit;

@@ -75,6 +75,76 @@ pub fn apply_single(amplitudes: &mut [Complex64], target: usize, u: [[Complex64;
     }
 }
 
+/// The `RX` butterfly on one amplitude pair, with `c = cos(θ/2)` and
+/// `s = sin(θ/2)`. Each component is one product pair and one add: the
+/// rounding steps of [`butterfly_row`] with the `RX` matrix, minus its
+/// products by zero.
+#[inline]
+fn rx_pair(c: f64, s: f64, a0: Complex64, a1: Complex64) -> (Complex64, Complex64) {
+    (
+        Complex64::new(c * a0.re + s * a1.im, c * a0.im - s * a1.re),
+        Complex64::new(c * a1.re + s * a0.im, c * a1.im - s * a0.re),
+    )
+}
+
+/// `RX` on qubits `q` and `q + 1` of one amplitude quadruple
+/// `[x0, x1, x2, x3]` (index bits `q+1, q` = `00, 01, 10, 11`): first
+/// qubit `q`, then qubit `q + 1` — the per-element order of two
+/// single-qubit passes.
+#[inline]
+fn rx_quad(c: f64, s: f64, x: [Complex64; 4]) -> [Complex64; 4] {
+    let (y0, y1) = rx_pair(c, s, x[0], x[1]);
+    let (y2, y3) = rx_pair(c, s, x[2], x[3]);
+    let (z0, z2) = rx_pair(c, s, y0, y2);
+    let (z1, z3) = rx_pair(c, s, y1, y3);
+    [z0, z1, z2, z3]
+}
+
+/// Applies `RX(θ)` to every qubit: the QAOA mixer layer. Only the
+/// rotation's real entry `c` and imaginary entry `-i·s` enter the
+/// butterfly, half the multiplies of [`apply_single`]. Qubits go two per
+/// pass (`q`, `q + 1` on each amplitude quadruple), which halves the passes
+/// over the state without changing any element's sequence of operations;
+/// an odd last qubit gets a pass of its own.
+///
+/// Every nonzero component has the bits of `apply_single` with the
+/// `Gate::Rx` matrix, qubit by qubit; only the sign of an exact zero can
+/// differ.
+pub fn apply_rx_mixer(amplitudes: &mut [Complex64], theta: f64) {
+    let c = (theta / 2.0).cos();
+    let s = (theta / 2.0).sin();
+    let qubits = amplitudes.len().trailing_zeros() as usize;
+    let mut q = 0;
+    while q + 1 < qubits {
+        let stride = 1usize << q;
+        if stride == 1 {
+            for quad in amplitudes.chunks_exact_mut(4) {
+                let out = rx_quad(c, s, [quad[0], quad[1], quad[2], quad[3]]);
+                quad.copy_from_slice(&out);
+            }
+        } else {
+            for block in amplitudes.chunks_exact_mut(4 * stride) {
+                let (low, high) = block.split_at_mut(2 * stride);
+                let (r0, r1) = low.split_at_mut(stride);
+                let (r2, r3) = high.split_at_mut(stride);
+                for (((x0, x1), x2), x3) in r0.iter_mut().zip(r1).zip(r2).zip(r3) {
+                    [*x0, *x1, *x2, *x3] = rx_quad(c, s, [*x0, *x1, *x2, *x3]);
+                }
+            }
+        }
+        q += 2;
+    }
+    if q < qubits {
+        let stride = 1usize << q;
+        for block in amplitudes.chunks_exact_mut(2 * stride) {
+            let (lo, hi) = block.split_at_mut(stride);
+            for (a0, a1) in lo.iter_mut().zip(hi) {
+                (*a0, *a1) = rx_pair(c, s, *a0, *a1);
+            }
+        }
+    }
+}
+
 /// Applies CNOT by swapping the two `control = 1` quadrants run by run
 /// (touching `2^{n-2}` index pairs, with no per-index bit tests).
 pub fn apply_cnot(amplitudes: &mut [Complex64], control: usize, target: usize) {
@@ -226,6 +296,25 @@ pub fn apply_rzz(amplitudes: &mut [Complex64], a: usize, b: usize, theta: f64) {
 pub fn apply_diagonal(amplitudes: &mut [Complex64], phases: &[Complex64]) {
     for (amp, phase) in amplitudes.iter_mut().zip(phases) {
         *amp *= *phase;
+    }
+}
+
+/// Applies `|z⟩ ↦ e^{i·scale·levels[z]} |z⟩` for integer levels
+/// `0..=max_level`: one `Complex64::cis(scale · k)` per level `k` into a
+/// 256-entry table (a `u8` level indexes it without a bounds check), then
+/// one contiguous zip of amplitudes and levels. The phases and the multiply
+/// are those of [`apply_diagonal`] over the per-state `cis` table, so the
+/// bits are the same.
+///
+/// Levels above `max_level` read an unset (zero) phase; callers keep every
+/// level within `max_level`.
+pub fn apply_phase_levels(amplitudes: &mut [Complex64], levels: &[u8], max_level: u8, scale: f64) {
+    let mut phases = [Complex64::zero(); 256];
+    for (k, phase) in phases[..=max_level as usize].iter_mut().enumerate() {
+        *phase = Complex64::cis(scale * k as f64);
+    }
+    for (amp, &level) in amplitudes.iter_mut().zip(levels) {
+        *amp *= phases[level as usize];
     }
 }
 

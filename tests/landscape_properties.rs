@@ -1,15 +1,17 @@
 //! Property-based tests of the cross-crate invariants the paper relies on.
 
-use graphlib::generators::{connected_gnp, cycle};
+use graphlib::generators::{connected_gnp, cycle, erdos_renyi_gnp};
 use graphlib::metrics::average_node_degree;
 use graphlib::subgraph::random_connected_subgraph;
 use graphlib::traversal::is_connected;
+use graphlib::Graph;
 use mathkit::rng::seeded;
 use proptest::prelude::*;
 use qaoa::analytic::analytic_expectation_p1;
 use qaoa::expectation::QaoaInstance;
-use qaoa::maxcut::{brute_force_maxcut, cut_values};
+use qaoa::maxcut::{brute_force_maxcut, cut_levels, cut_value, cut_values};
 use qaoa::params::{QaoaParams, BETA_MAX, GAMMA_MAX};
+use rand::Rng;
 use red_qaoa::annealing::{anneal_subgraph, SaOptions};
 
 proptest! {
@@ -106,6 +108,40 @@ proptest! {
         let random = random_connected_subgraph(&graph, k, &mut seeded(seed + 2)).unwrap();
         let random_gap = (average_node_degree(&random.graph) - target).abs();
         prop_assert!(sa_gap <= random_gap + 1e-9, "sa {sa_gap} vs random {random_gap}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The `O(2^n)` cut tables (`cut_values`, `cut_levels`) hold exactly the
+    /// per-edge count `cut_value` of every basis state, on random graphs of
+    /// up to 16 nodes that include isolated nodes (`isolated` extra nodes
+    /// with no edges, placed among the others by a rotation of the labels).
+    #[test]
+    fn cut_tables_match_the_per_edge_count(
+        seed in 0u64..1000,
+        nodes in 1usize..=13,
+        isolated in 0usize..=3,
+        density in 0.0f64..1.0,
+    ) {
+        let mut rng = seeded(seed);
+        let core = erdos_renyi_gnp(nodes, density, &mut rng).unwrap();
+        let total = nodes + isolated;
+        let offset = rng.gen_range(0..total);
+        let mut graph = Graph::new(total);
+        for (u, v) in core.edges() {
+            graph.add_edge((u + offset) % total, (v + offset) % total).unwrap();
+        }
+        let values = cut_values(&graph).unwrap();
+        let levels = cut_levels(&graph).unwrap();
+        prop_assert_eq!(values.len(), 1usize << total);
+        prop_assert_eq!(levels.len(), 1usize << total);
+        for z in 0..values.len() {
+            let count = cut_value(&graph, z as u64);
+            prop_assert_eq!(values[z], count as f64);
+            prop_assert_eq!(usize::from(levels[z]), count);
+        }
     }
 }
 

@@ -207,6 +207,147 @@ proptest! {
     }
 }
 
+/// A starting state for the QAOA-layer kernels: `|0…0⟩` (mostly exact
+/// zeros, where the RX-only mixer may flip a zero's sign), the uniform
+/// superposition the QAOA evolution starts from, or a dense random state.
+fn layer_start_state<R: Rng>(kind: usize, n: usize, rng: &mut R) -> StateVector {
+    match kind {
+        0 => StateVector::new(n),
+        1 => StateVector::uniform_superposition(n),
+        _ => random_state(n, 20, rng),
+    }
+}
+
+/// Random `u8` levels in `0..=max_level` for a `2^n`-state diagonal.
+fn random_levels<R: Rng>(len: usize, max_level: u8, rng: &mut R) -> Vec<u8> {
+    (0..len).map(|_| rng.gen_range(0..=max_level)).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The QAOA-layer kernels (`apply_phase_levels`, `apply_rx_mixer`) give the
+    /// same amplitude bits in both modules, through alternating cost and
+    /// mixer layers.
+    #[test]
+    fn qaoa_layer_kernels_match_scalar_oracle_bitwise(
+        seed in 0u64..100_000,
+        qubits in 1usize..=10,
+        kind in 0usize..3,
+        max_level in 0u8..=40,
+        layers in 1usize..4,
+    ) {
+        let mut rng = seeded(seed);
+        let mut scalar = layer_start_state(kind, qubits, &mut rng).amplitudes().to_vec();
+        let mut fast = scalar.clone();
+        let levels = random_levels(scalar.len(), max_level, &mut rng);
+        for layer in 0..layers {
+            let gamma = rng.gen_range(-3.5f64..6.5);
+            let beta = rng.gen_range(-3.5f64..6.5);
+            reference::apply_phase_levels(&mut scalar, &levels, max_level, -gamma);
+            vectorized::apply_phase_levels(&mut fast, &levels, max_level, -gamma);
+            prop_assert!(
+                amplitude_bits(&scalar) == amplitude_bits(&fast),
+                "phase levels diverged in layer {layer}"
+            );
+            reference::apply_rx_mixer(&mut scalar, 2.0 * beta);
+            vectorized::apply_rx_mixer(&mut fast, 2.0 * beta);
+            prop_assert!(
+                amplitude_bits(&scalar) == amplitude_bits(&fast),
+                "rx mixer diverged in layer {layer}"
+            );
+        }
+    }
+
+    /// The phase-level kernel gives the bits of `apply_diagonal` over the
+    /// explicit per-state table `cis(scale · level)`, in both modules.
+    #[test]
+    fn phase_levels_match_an_explicit_cis_table_bitwise(
+        seed in 0u64..100_000,
+        qubits in 1usize..=10,
+        kind in 0usize..3,
+        max_level in 0u8..=231,
+        scale in -6.5f64..6.5,
+    ) {
+        let mut rng = seeded(seed);
+        let start = layer_start_state(kind, qubits, &mut rng).amplitudes().to_vec();
+        let levels = random_levels(start.len(), max_level, &mut rng);
+        let table: Vec<Complex64> = levels
+            .iter()
+            .map(|&level| Complex64::cis(scale * f64::from(level)))
+            .collect();
+        let mut expected = start.clone();
+        reference::apply_diagonal(&mut expected, &table);
+        let mut scalar = start.clone();
+        reference::apply_phase_levels(&mut scalar, &levels, max_level, scale);
+        let mut fast = start;
+        vectorized::apply_phase_levels(&mut fast, &levels, max_level, scale);
+        prop_assert_eq!(amplitude_bits(&scalar), amplitude_bits(&expected));
+        prop_assert_eq!(amplitude_bits(&fast), amplitude_bits(&expected));
+    }
+
+    /// The RX-only mixer against `apply_gate(Gate::Rx)` on every qubit, under
+    /// both kernels: every nonzero component has the same bits, zeros
+    /// compare equal as `f64` (only their sign may differ), and `norm_sqr`,
+    /// `expectation_zz` and `expectation_diagonal` have the same bits.
+    #[test]
+    fn rx_mixer_matches_per_qubit_rx_gates(
+        seed in 0u64..100_000,
+        qubits in 2usize..=10,
+        kind in 0usize..3,
+        layers in 1usize..4,
+    ) {
+        let mut rng = seeded(seed);
+        let start = layer_start_state(kind, qubits, &mut rng);
+        let thetas: Vec<f64> = (0..layers).map(|_| rng.gen_range(-7.0f64..13.0)).collect();
+        let values: Vec<f64> = (0..start.amplitudes().len())
+            .map(|_| rng.gen_range(-4.0f64..4.0))
+            .collect();
+        for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
+            let (mixer, gates) = with_kernel(mode, || {
+                let mut mixer = start.clone();
+                let mut gates = start.clone();
+                for &theta in &thetas {
+                    mixer.apply_rx_mixer(theta);
+                    for q in 0..qubits {
+                        gates.apply_gate(Gate::Rx(q, theta));
+                    }
+                }
+                (mixer, gates)
+            });
+            for (z, (m, g)) in mixer.amplitudes().iter().zip(gates.amplitudes()).enumerate() {
+                for (part, x, y) in [("re", m.re, g.re), ("im", m.im, g.im)] {
+                    prop_assert!(x == y, "{mode:?}: amplitude {z}.{part} {x} vs {y}");
+                    if x != 0.0 {
+                        prop_assert!(
+                            x.to_bits() == y.to_bits(),
+                            "{mode:?}: amplitude {z}.{part} bits differ"
+                        );
+                    }
+                }
+            }
+            with_kernel(mode, || {
+                prop_assert_eq!(mixer.norm_sqr().to_bits(), gates.norm_sqr().to_bits());
+                for a in 0..qubits {
+                    for b in 0..qubits {
+                        if a != b {
+                            prop_assert_eq!(
+                                mixer.expectation_zz(a, b).to_bits(),
+                                gates.expectation_zz(a, b).to_bits()
+                            );
+                        }
+                    }
+                }
+                prop_assert_eq!(
+                    mixer.expectation_diagonal(&values).to_bits(),
+                    gates.expectation_diagonal(&values).to_bits()
+                );
+                Ok(())
+            })?;
+        }
+    }
+}
+
 /// The single-qubit unitary matrix of a gate (panics on two-qubit gates).
 /// Mirrors the matrix table in `StateVector::apply_gate` so the module-level
 /// differential can exercise `apply_single` with every gate's actual matrix.
