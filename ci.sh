@@ -26,7 +26,9 @@
 #      must report `correct: true` with `failed: 0`. This runs the
 #      benchmark's output checks: the cone_golden.txt energies, the
 #      cross-check against edge_local_expectation, and the bitwise replay
-#      of every traced request.
+#      of every traced request. `session` and `cone` run a second time
+#      with RED_QAOA_KERNEL=scalar, so the scalar kernels of the exact QAOA
+#      layers meet the same checks.
 #   4. perf smoke             — the bench/ landscape smoke emits
 #      BENCH_landscape.json (points/sec for a 32×32 grid on a 16-node
 #      graph, 4-thread speedup gated at >= 2x when cores > 1), the
@@ -78,6 +80,12 @@ for workload in session corpus noisy cone; do
         --workload "$workload" --seed 1 --seconds 1 --trace 1 | tail -n 1)
     echo "$result" | jq -e '.correct == true and .failed == 0' >/dev/null \
         || { echo "FAIL: perfbench $workload: $result"; exit 1; }
+done
+for workload in session cone; do
+    result=$(RED_QAOA_KERNEL=scalar cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 1 | tail -n 1)
+    echo "$result" | jq -e '.correct == true and .failed == 0' >/dev/null \
+        || { echo "FAIL: perfbench $workload (RED_QAOA_KERNEL=scalar): $result"; exit 1; }
 done
 
 echo "==> perf smoke: landscape grid points/sec -> BENCH_landscape.json"

@@ -14,6 +14,7 @@ use graphlib::metrics::average_node_degree;
 use graphlib::Graph;
 use qaoa::evaluator::StatevectorEvaluator;
 use qaoa::optimize::{OptimizeDriver, OptimizeOutcome, Optimizer};
+use qsim::statevector::StatevectorWorkspace;
 use rand::Rng;
 
 /// Builds the random regular surrogate used by the parameter-transfer
@@ -170,15 +171,19 @@ pub fn optimized_transfer<O: Optimizer, R: Rng>(
     let surrogate_outcome = driver.maximize(&surrogate_evaluator, rng)?;
     let native_outcome = driver.maximize(&original_evaluator, rng)?;
 
+    // The re-scores share one workspace instead of allocating 2^n
+    // amplitudes per call.
     let original_instance = original_evaluator.instance();
-    let transferred_value = original_instance.expectation(&surrogate_outcome.best_params);
+    let mut workspace = StatevectorWorkspace::new();
+    let transferred_value =
+        original_instance.expectation_with(&mut workspace, &surrogate_outcome.best_params);
     let transferred_average = if surrogate_outcome.restart_params.is_empty() {
         transferred_value
     } else {
         surrogate_outcome
             .restart_params
             .iter()
-            .map(|p| original_instance.expectation(p))
+            .map(|p| original_instance.expectation_with(&mut workspace, p))
             .sum::<f64>()
             / surrogate_outcome.restart_params.len() as f64
     };

@@ -152,7 +152,7 @@ impl StatevectorEvaluator {
         Self { instance }
     }
 
-    /// The underlying instance (graph, layer count, cut table).
+    /// The underlying instance (graph, layer count, cut levels).
     pub fn instance(&self) -> &QaoaInstance {
         &self.instance
     }
@@ -323,14 +323,14 @@ impl EnergyEvaluator for EdgeLocalEvaluator {
         assert_eq!(params.layers(), self.layers, "layer count mismatch");
         let mut total = 0.0;
         for cone in &self.cones {
-            crate::expectation::evolve_qaoa_layers(
+            let state = crate::expectation::evolve_qaoa_layers(
                 scratch,
                 cone.qubits,
                 &cone.cut_levels,
                 cone.edges,
                 params,
             );
-            total += 0.5 * (1.0 - scratch.state().expectation_zz(cone.local_u, cone.local_v));
+            total += 0.5 * (1.0 - state.expectation_zz(cone.local_u, cone.local_v));
         }
         total
     }
@@ -569,7 +569,7 @@ impl EnergyEvaluator for ScheduledCircuitEvaluator {
             .expect("constructor attaches a schedule");
         let circuit = crate::depth::scheduled_qaoa_circuit(schedule, params);
         qsim::statevector::StateVector::from_circuit(&circuit)
-            .expectation_diagonal(self.instance.cut_table())
+            .expectation_levels(self.instance.cut_levels())
     }
 }
 

@@ -34,13 +34,12 @@ use rand::Rng;
 pub const MAX_EXACT_NODES: usize = 22;
 
 /// A prepared QAOA MaxCut instance: the graph, the layer count, and the
-/// precomputed diagonal of the cost Hamiltonian, both as `f64` values (for
-/// expectations) and as `u8` cut levels (for the cost layer).
+/// precomputed diagonal of the cost Hamiltonian as `u8` cut levels (for the
+/// cost layer and the exact expectation).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QaoaInstance {
     graph: Graph,
     layers: usize,
-    cut_table: Vec<f64>,
     cut_levels: Vec<u8>,
     schedule: Option<DepthSchedule>,
 }
@@ -67,12 +66,10 @@ impl QaoaInstance {
                 limit: MAX_EXACT_NODES,
             });
         }
-        let cut_levels = cut_levels(graph)?;
         Ok(Self {
             graph: graph.clone(),
             layers,
-            cut_table: cut_levels.iter().map(|&level| f64::from(level)).collect(),
-            cut_levels,
+            cut_levels: cut_levels(graph)?,
             schedule: None,
         })
     }
@@ -124,9 +121,20 @@ impl QaoaInstance {
         self.layers
     }
 
-    /// The diagonal of the cost Hamiltonian (cut value of each basis state).
-    pub fn cut_table(&self) -> &[f64] {
-        &self.cut_table
+    /// The diagonal of the cost Hamiltonian: the cut value of each basis
+    /// state, as a `u8` level.
+    pub fn cut_levels(&self) -> &[u8] {
+        &self.cut_levels
+    }
+
+    /// The cut values as the `f64` diagonal the trajectory simulator reads,
+    /// built from the levels per call (at most `2^n` entries, next to a
+    /// whole trajectory simulation).
+    fn cut_values(&self) -> Vec<f64> {
+        self.cut_levels
+            .iter()
+            .map(|&level| f64::from(level))
+            .collect()
     }
 
     /// Prepares `|ψ(γ, β)⟩` in the workspace: uniform superposition, then
@@ -144,8 +152,7 @@ impl QaoaInstance {
             &self.cut_levels,
             self.graph.edge_count(),
             params,
-        );
-        workspace.state()
+        )
     }
 
     /// Exact cost expectation for the given parameters (to be *maximized*).
@@ -173,7 +180,7 @@ impl QaoaInstance {
         params: &QaoaParams,
     ) -> f64 {
         self.evolve_into(workspace, params)
-            .expectation_diagonal(&self.cut_table)
+            .expectation_levels(&self.cut_levels)
     }
 
     /// Exact measurement distribution for the given parameters.
@@ -222,7 +229,7 @@ impl QaoaInstance {
     ) -> f64 {
         assert_eq!(params.layers(), self.layers, "layer count mismatch");
         let circuit = self.build_circuit(params);
-        noisy_expectation_diagonal(&circuit, noise, &self.cut_table, options, rng)
+        noisy_expectation_diagonal(&circuit, noise, &self.cut_values(), options, rng)
     }
 
     /// Noisy cost expectation of the circuit *after routing onto a device
@@ -274,7 +281,7 @@ impl QaoaInstance {
     ) -> f64 {
         assert_eq!(params.layers(), self.layers, "layer count mismatch");
         let circuit = self.build_circuit(params);
-        noisy_expectation_diagonal_seeded(&circuit, noise, &self.cut_table, options, seed)
+        noisy_expectation_diagonal_seeded(&circuit, noise, &self.cut_values(), options, seed)
     }
 
     /// Seeded, thread-count-independent variant of
@@ -347,38 +354,47 @@ impl QaoaInstance {
     }
 }
 
-/// Shared QAOA layer evolution: resets `workspace` to the uniform
-/// superposition over `qubits` qubits, then applies the alternating
-/// cost-phase and mixer layers.
+/// Shared QAOA layer evolution: prepares `|ψ(γ, β)⟩` over `qubits`
+/// qubits in `workspace` — the uniform superposition, then the alternating
+/// cost-phase and mixer layers — and returns it.
 ///
-/// * The cost layer `e^{-iγ H_C}` is one
-///   [`StateVector::apply_phase_levels`] pass over `cut_levels` (the cut
-///   value of each basis state, at most `edges`): one `cis(-γ·k)` per cut
-///   value `k`, then one multiply per amplitude.
-/// * The mixer `e^{-iβ B}` is [`StateVector::apply_rx_mixer`] with
-///   `θ = 2β`, the RX-only butterfly on every qubit.
+/// * The cost layer `e^{-iγ H_C}` multiplies each amplitude by
+///   `cis(-γ·k)` for its cut level `k` (at most `edges`), one `cis` per
+///   level (the `apply_phase_levels` kernel).
+/// * The mixer `e^{-iβ B}` is the RX-only butterfly with `θ = 2β` on every
+///   qubit (the `apply_rx_mixer` kernel).
 ///
-/// Both give the bits of the per-state phase table and of `Gate::Rx(q, 2β)`
-/// applied qubit by qubit, except that an amplitude component that is
-/// exactly zero may carry the other sign. No probability or expectation
-/// can see that sign (see `docs/determinism.md`).
+/// A cut value does not change when every bit is flipped, so the state
+/// keeps `amp[!z] == amp[z]`: [`StatevectorWorkspace::evolve_qaoa`] evolves
+/// only the lower half (top qubit clear), with a reflected pass for the top
+/// qubit, and mirrors it into the upper half at the end. Every amplitude
+/// has the bits of [`StateVector::apply_phase_levels`] and
+/// [`StateVector::apply_rx_mixer`] on the full state. Those in turn give
+/// the bits of the per-state phase table and of `Gate::Rx(q, 2β)` applied
+/// qubit by qubit, except that an amplitude component that is exactly zero
+/// may carry the other sign. No probability or expectation can see that
+/// sign (see `docs/determinism.md`).
+///
+/// Every caller has at least two qubits: an instance needs an edge, and a
+/// light cone holds both endpoints of its edge.
 ///
 /// This is the single definition of the ansatz evolution; the global
 /// statevector backend and the edge-local light-cone backend both route
 /// through it so the two can never silently diverge.
-pub(crate) fn evolve_qaoa_layers(
-    workspace: &mut StatevectorWorkspace,
+pub(crate) fn evolve_qaoa_layers<'w>(
+    workspace: &'w mut StatevectorWorkspace,
     qubits: usize,
     cut_levels: &[u8],
     edges: usize,
     params: &QaoaParams,
-) {
+) -> &'w StateVector {
     let max_level = u8::try_from(edges).expect("cut values fit in a u8 level");
-    let state = workspace.begin_uniform(qubits);
-    for (gamma, beta) in params.gammas.iter().zip(&params.betas) {
-        state.apply_phase_levels(cut_levels, max_level, -gamma);
-        state.apply_rx_mixer(2.0 * beta);
-    }
+    let layers = params
+        .gammas
+        .iter()
+        .zip(&params.betas)
+        .map(|(gamma, beta)| (-gamma, 2.0 * beta));
+    workspace.evolve_qaoa(qubits, cut_levels, max_level, layers)
 }
 
 /// Exact cost expectation computed edge-by-edge on light-cone subgraphs.
@@ -418,14 +434,14 @@ pub fn edge_local_expectation(graph: &Graph, params: &QaoaParams) -> Result<f64,
         let local_u = sub.nodes.binary_search(&u).expect("u in subgraph");
         let local_v = sub.nodes.binary_search(&v).expect("v in subgraph");
         let levels = cut_levels(&sub.graph)?;
-        evolve_qaoa_layers(
+        let state = evolve_qaoa_layers(
             &mut workspace,
             sub.graph.node_count(),
             &levels,
             sub.graph.edge_count(),
             params,
         );
-        total += 0.5 * (1.0 - workspace.state().expectation_zz(local_u, local_v));
+        total += 0.5 * (1.0 - state.expectation_zz(local_u, local_v));
     }
     Ok(total)
 }
@@ -459,7 +475,7 @@ mod tests {
         // Same computation through the explicit gate circuit.
         let circuit = qaoa_circuit(&g, &params).unwrap();
         let sv = StateVector::from_circuit(&circuit);
-        let slow = sv.expectation_diagonal(instance.cut_table());
+        let slow = sv.expectation_levels(instance.cut_levels());
         assert!((fast - slow).abs() < 1e-8, "fast {fast} vs slow {slow}");
     }
 
@@ -484,8 +500,8 @@ mod tests {
         assert!((probs.iter().sum::<f64>() - 1.0).abs() < EPS);
         let e: f64 = probs
             .iter()
-            .zip(instance.cut_table())
-            .map(|(p, c)| p * c)
+            .zip(instance.cut_levels())
+            .map(|(p, &c)| p * f64::from(c))
             .sum();
         assert!((e - instance.expectation(&params)).abs() < EPS);
     }

@@ -17,7 +17,7 @@
 //!   oracle (`tests/qsim_kernel_equivalence.rs`) and as the benchmark
 //!   baseline.
 //!
-//! Two kernels exist only for the exact QAOA evolution
+//! Four kernels exist only for the exact QAOA evolution
 //! (`qaoa::expectation::evolve_qaoa_layers`), in both backends:
 //!
 //! * `apply_phase_levels` — the cost layer from `u8` cut levels: one
@@ -28,8 +28,27 @@
 //!   real and imaginary entries ([`StateVector::apply_rx_mixer`]); same bits as
 //!   `Gate::Rx` through [`StateVector::apply_single`] except the sign of an
 //!   exact zero, which no probability or expectation can see.
+//! * `apply_rx_reflected` — the mixer's top-qubit pass on a state stored as
+//!   its lower half (below).
+//! * `expectation_levels` — the cost expectation from the `u8` levels
+//!   ([`StateVector::expectation_levels`]); same bits as
+//!   [`StateVector::expectation_diagonal`] over the `f64` values.
 //!
 //! Gate circuits, `Gate::Rx` included, always run the general kernels.
+//!
+//! # Half-state QAOA evolution
+//!
+//! A MaxCut cut value does not change when every bit is flipped, so cut
+//! levels satisfy `levels[!z] == levels[z]` (`!z` over the `n` qubit bits).
+//! [`StatevectorWorkspace::evolve_qaoa`] uses that: the uniform start, the
+//! phase multiply and the RX butterfly all map a state with
+//! `amp[!z] == amp[z]` bit for bit to another such state. It evolves only
+//! the lower half (top qubit clear) — the phase and mixer kernels on the
+//! half cover qubits `0..n-1`, and `apply_rx_reflected` pairs `k` with
+//! `half − 1 − k` for the top qubit — then copies the half, reversed, into
+//! the upper half. Every amplitude has the bits of the full-state
+//! `apply_phase_levels` + `apply_rx_mixer` loop, at half the work; see
+//! `docs/determinism.md`.
 //!
 //! The backend is selected per process with the [`KERNEL_ENV`]
 //! (`RED_QAOA_KERNEL=scalar|vectorized`) environment variable, mirroring
@@ -131,6 +150,12 @@ pub fn with_kernel<R>(mode: KernelMode, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// The amplitude `2^{-n/2}` of every basis state in the uniform
+/// superposition over `qubit_count` qubits.
+fn uniform_amplitude(qubit_count: usize) -> Complex64 {
+    Complex64::new(1.0 / ((1usize << qubit_count) as f64).sqrt(), 0.0)
+}
+
 /// A pure quantum state over `n` qubits.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateVector {
@@ -161,8 +186,7 @@ impl StateVector {
     /// (the QAOA initial state, Equation 4 of the paper).
     pub fn uniform_superposition(qubit_count: usize) -> Self {
         let mut sv = Self::new(qubit_count);
-        let amp = Complex64::new(1.0 / ((1usize << qubit_count) as f64).sqrt(), 0.0);
-        sv.amplitudes.fill(amp);
+        sv.amplitudes.fill(uniform_amplitude(qubit_count));
         sv
     }
 
@@ -183,7 +207,7 @@ impl StateVector {
     ///
     /// Panics if `qubit_count` exceeds [`MAX_STATEVECTOR_QUBITS`].
     pub fn reinitialize_zero(&mut self, qubit_count: usize) {
-        self.reinitialize_with(qubit_count, Complex64::zero());
+        self.reinitialize_with(qubit_count, Complex64::zero(), usize::MAX);
         self.amplitudes[0] = Complex64::one();
     }
 
@@ -194,25 +218,23 @@ impl StateVector {
     ///
     /// Panics if `qubit_count` exceeds [`MAX_STATEVECTOR_QUBITS`].
     pub fn reinitialize_uniform(&mut self, qubit_count: usize) {
-        let amp = Complex64::new(1.0 / ((1usize << qubit_count) as f64).sqrt(), 0.0);
-        self.reinitialize_with(qubit_count, amp);
+        self.reinitialize_with(qubit_count, uniform_amplitude(qubit_count), usize::MAX);
     }
 
-    /// Resizes to `2^qubit_count` amplitudes all equal to `value`, without
-    /// reallocating when the buffer is already large enough.
-    fn reinitialize_with(&mut self, qubit_count: usize, value: Complex64) {
+    /// Resizes to `2^qubit_count` amplitudes and sets the first `filled` of
+    /// them (all, if `filled` is at least the dimension) to `value`, without
+    /// reallocating when the buffer is already large enough. Amplitudes past
+    /// `filled` are unspecified; each amplitude is written at most once.
+    fn reinitialize_with(&mut self, qubit_count: usize, value: Complex64, filled: usize) {
         assert!(
             qubit_count <= MAX_STATEVECTOR_QUBITS,
             "statevector limited to {MAX_STATEVECTOR_QUBITS} qubits"
         );
         self.qubit_count = qubit_count;
         let dim = 1usize << qubit_count;
-        if self.amplitudes.len() == dim {
-            self.amplitudes.fill(value);
-        } else {
-            self.amplitudes.clear();
-            self.amplitudes.resize(dim, value);
-        }
+        let kept = self.amplitudes.len().min(filled).min(dim);
+        self.amplitudes.resize(dim, value);
+        self.amplitudes[..kept].fill(value);
     }
 
     /// Number of qubits.
@@ -537,6 +559,22 @@ impl StateVector {
         }
     }
 
+    /// Expectation value of a diagonal observable with small integer values,
+    /// given as one `u8` level per basis state (such as the QAOA cut
+    /// levels). Same bits as [`StateVector::expectation_diagonal`] with
+    /// `values[z] = f64::from(levels[z])`, without the `f64` table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `levels.len()` does not equal `2^n`.
+    pub fn expectation_levels(&self, levels: &[u8]) -> f64 {
+        assert_eq!(levels.len(), self.amplitudes.len());
+        match current_kernel() {
+            KernelMode::Scalar => reference::expectation_levels(&self.amplitudes, levels),
+            KernelMode::Vectorized => vectorized::expectation_levels(&self.amplitudes, levels),
+        }
+    }
+
     /// Samples `shots` measurement outcomes in the computational basis and
     /// returns per-basis-state counts.
     ///
@@ -689,6 +727,71 @@ impl StatevectorWorkspace {
     pub fn begin_uniform(&mut self, qubit_count: usize) -> &mut StateVector {
         self.state.reinitialize_uniform(qubit_count);
         &mut self.state
+    }
+
+    /// Prepares `Π_l [RX(θ_l)^{⊗n} · e^{i·scale_l·levels}] |s⟩` over
+    /// `qubit_count` qubits from the uniform superposition `|s⟩`, one
+    /// `(scale, θ)` pair per layer, and returns the state. For QAOA MaxCut,
+    /// `levels` are the cut values and each layer is `(-γ, 2β)`.
+    ///
+    /// `levels` must be unchanged by flipping every bit
+    /// (`levels[!z] == levels[z]`), as cut values are. The state then keeps
+    /// `amp[!z] == amp[z]`, so only the lower half (top qubit clear) is
+    /// evolved: per layer, the `apply_phase_levels` and `apply_rx_mixer`
+    /// kernels on the half, then `apply_rx_reflected` for the top qubit. One
+    /// reversed copy fills the upper half at the end. Every amplitude has the
+    /// bits of [`StateVector::apply_phase_levels`] and
+    /// [`StateVector::apply_rx_mixer`] applied to the full uniform state (see
+    /// the [module docs](self)). No allocation happens once the buffer has
+    /// grown to this size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `qubit_count < 2` or exceeds [`MAX_STATEVECTOR_QUBITS`], or
+    /// if `levels.len()` does not equal `2^qubit_count`. Debug builds also
+    /// check that `levels` is complement-symmetric and within `max_level`.
+    pub fn evolve_qaoa(
+        &mut self,
+        qubit_count: usize,
+        levels: &[u8],
+        max_level: u8,
+        layers: impl IntoIterator<Item = (f64, f64)>,
+    ) -> &StateVector {
+        assert!(qubit_count >= 2, "the half-state evolution needs 2 qubits");
+        let half = 1usize << (qubit_count - 1);
+        assert_eq!(
+            levels.len(),
+            2 * half,
+            "level table length must equal the state dimension"
+        );
+        self.state
+            .reinitialize_with(qubit_count, uniform_amplitude(qubit_count), half);
+        let (low_levels, high_levels) = levels.split_at(half);
+        debug_assert!(
+            low_levels.iter().eq(high_levels.iter().rev()),
+            "levels must not change when every bit is flipped"
+        );
+        debug_assert!(low_levels.iter().all(|&l| l <= max_level));
+        let kernel = current_kernel();
+        let (low, high) = self.state.amplitudes.split_at_mut(half);
+        for (scale, theta) in layers {
+            match kernel {
+                KernelMode::Scalar => {
+                    reference::apply_phase_levels(low, low_levels, max_level, scale);
+                    reference::apply_rx_mixer(low, theta);
+                    reference::apply_rx_reflected(low, theta);
+                }
+                KernelMode::Vectorized => {
+                    vectorized::apply_phase_levels(low, low_levels, max_level, scale);
+                    vectorized::apply_rx_mixer(low, theta);
+                    vectorized::apply_rx_reflected(low, theta);
+                }
+            }
+        }
+        for (upper, lower) in high.iter_mut().zip(low.iter().rev()) {
+            *upper = *lower;
+        }
+        &self.state
     }
 
     /// Computes the working state's measurement distribution into the
@@ -991,6 +1094,15 @@ mod tests {
         ws.begin_uniform(2);
         ws.state_mut().apply_phase_levels(&levels, 2, -0.7);
         assert_eq!(bits(ws.state()), bits(&reference));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "every bit is flipped")]
+    fn half_state_evolution_rejects_asymmetric_levels() {
+        // Level 1 on |00⟩ but 0 on its complement |11⟩.
+        let levels = [1u8, 0, 0, 0];
+        StatevectorWorkspace::new().evolve_qaoa(2, &levels, 1, [(-0.3, 0.8)]);
     }
 
     #[test]

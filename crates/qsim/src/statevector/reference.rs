@@ -155,6 +155,25 @@ pub fn apply_rx_mixer(amplitudes: &mut [Complex64], theta: f64) {
     }
 }
 
+/// Applies `RX(θ)` to the top qubit of a state with `amp[!z] == amp[z]`
+/// (every bit flipped), given as its lower half `amplitudes`. The top-qubit
+/// partner of `k` is `k + len`, whose amplitude equals that of its
+/// complement `len − 1 − k`, so the butterfly of [`apply_rx_mixer`] runs on
+/// `a0 = amp[k]`, `a1 = amp[len − 1 − k]`; its two outputs are the new
+/// amplitudes at `k` and at `len − 1 − k`.
+pub fn apply_rx_reflected(amplitudes: &mut [Complex64], theta: f64) {
+    let c = (theta / 2.0).cos();
+    let s = (theta / 2.0).sin();
+    let len = amplitudes.len();
+    for k in 0..len / 2 {
+        let j = len - 1 - k;
+        let a0 = amplitudes[k];
+        let a1 = amplitudes[j];
+        amplitudes[k] = Complex64::new(c * a0.re + s * a1.im, c * a0.im - s * a1.re);
+        amplitudes[j] = Complex64::new(c * a1.re + s * a0.im, c * a1.im - s * a0.re);
+    }
+}
+
 /// Applies the diagonal unitary `|z⟩ ↦ e^{i·scale·levels[z]} |z⟩` for
 /// integer levels `0..=max_level`: computes `Complex64::cis(scale · k)` once
 /// per level `k`, then multiplies amplitude `z` by the phase of its level.
@@ -214,4 +233,12 @@ pub fn expectation_zz(amplitudes: &[Complex64], a: usize, b: usize) -> f64 {
 /// (lane-order sum of `|amplitude|² · value`).
 pub fn expectation_diagonal(amplitudes: &[Complex64], values: &[f64]) -> f64 {
     lane_sum(amplitudes.len(), |i| amplitudes[i].norm_sqr() * values[i])
+}
+
+/// Expectation of a diagonal observable given as `u8` levels: the sum of
+/// [`expectation_diagonal`] with `values[z] = f64::from(levels[z])`.
+pub fn expectation_levels(amplitudes: &[Complex64], levels: &[u8]) -> f64 {
+    lane_sum(amplitudes.len(), |i| {
+        amplitudes[i].norm_sqr() * f64::from(levels[i])
+    })
 }

@@ -145,6 +145,20 @@ pub fn apply_rx_mixer(amplitudes: &mut [Complex64], theta: f64) {
     }
 }
 
+/// Applies `RX(θ)` to the top qubit of a state with `amp[!z] == amp[z]`
+/// (every bit flipped), given as its lower half `amplitudes`: the first
+/// half of the slice zipped with the second half walked backwards, so `k`
+/// meets `len − 1 − k`, the amplitude its top-qubit partner `k + len`
+/// shares. Same pairs and operand order as the scalar kernel.
+pub fn apply_rx_reflected(amplitudes: &mut [Complex64], theta: f64) {
+    let c = (theta / 2.0).cos();
+    let s = (theta / 2.0).sin();
+    let (lo, hi) = amplitudes.split_at_mut(amplitudes.len() / 2);
+    for (a0, a1) in lo.iter_mut().zip(hi.iter_mut().rev()) {
+        (*a0, *a1) = rx_pair(c, s, *a0, *a1);
+    }
+}
+
 /// Applies CNOT by swapping the two `control = 1` quadrants run by run
 /// (touching `2^{n-2}` index pairs, with no per-index bit tests).
 pub fn apply_cnot(amplitudes: &mut [Complex64], control: usize, target: usize) {
@@ -430,6 +444,27 @@ pub fn expectation_diagonal(amplitudes: &[Complex64], values: &[f64]) -> f64 {
     let mut total = combine(lanes);
     for (a, v) in atail.iter().zip(vtail) {
         total += a.norm_sqr() * v;
+    }
+    total
+}
+
+/// Expectation of a diagonal observable given as `u8` levels — the chunked
+/// sum of [`expectation_diagonal`] with `f64::from(level)` as each value
+/// (exact for every `u8`, so the bits are those of the `f64` table).
+pub fn expectation_levels(amplitudes: &[Complex64], levels: &[u8]) -> f64 {
+    let mut lanes = [0.0f64; REDUCTION_LANES];
+    let achunks = amplitudes.chunks_exact(REDUCTION_LANES);
+    let lchunks = levels.chunks_exact(REDUCTION_LANES);
+    let atail = achunks.remainder();
+    let ltail = lchunks.remainder();
+    for (ac, lc) in achunks.zip(lchunks) {
+        for ((lane, a), &level) in lanes.iter_mut().zip(ac).zip(lc) {
+            *lane += a.norm_sqr() * f64::from(level);
+        }
+    }
+    let mut total = combine(lanes);
+    for (a, &level) in atail.iter().zip(ltail) {
+        total += a.norm_sqr() * f64::from(level);
     }
     total
 }

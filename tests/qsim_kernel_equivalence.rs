@@ -20,11 +20,15 @@
 //! change a result. A single ULP of drift here would silently invalidate
 //! every golden value downstream.
 
+use graphlib::Graph;
 use mathkit::rng::seeded;
 use mathkit::Complex64;
 use proptest::prelude::*;
+use qaoa::maxcut::cut_levels;
 use qsim::circuit::Gate;
-use qsim::statevector::{reference, vectorized, with_kernel, KernelMode, StateVector};
+use qsim::statevector::{
+    reference, vectorized, with_kernel, KernelMode, StateVector, StatevectorWorkspace,
+};
 use rand::Rng;
 
 /// Samples one random gate over `n` qubits (single-qubit only when `n == 1`).
@@ -345,6 +349,106 @@ proptest! {
                 Ok(())
             })?;
         }
+    }
+}
+
+/// Levels for a `2^n`-state diagonal that are unchanged by flipping every
+/// bit, as MaxCut cut values are: either random levels in `0..=40` on the
+/// lower half, mirrored, or the cut levels of a random graph with isolated
+/// nodes. Returns the levels and their maximum bound.
+fn symmetric_levels<R: Rng>(kind: usize, n: usize, rng: &mut R) -> (Vec<u8>, u8) {
+    if kind == 0 {
+        let max_level = rng.gen_range(0u8..=40);
+        let half = random_levels(1 << (n - 1), max_level, rng);
+        let levels = half.iter().chain(half.iter().rev()).copied().collect();
+        return (levels, max_level);
+    }
+    let mut graph = Graph::new(n);
+    let density = rng.gen_range(0.0f64..1.0);
+    for u in 0..n {
+        for v in u + 1..n {
+            if rng.gen_bool(density) {
+                graph.add_edge(u, v).unwrap();
+            }
+        }
+    }
+    let max_level = u8::try_from(graph.edge_count()).unwrap();
+    (cut_levels(&graph).unwrap(), max_level)
+}
+
+/// An angle that is sometimes exactly zero, so that exact-zero amplitude
+/// components (whose sign the RX-only butterfly may choose) reach the
+/// comparison.
+fn layer_angle<R: Rng>(rng: &mut R) -> f64 {
+    if rng.gen_range(0..4) == 0 {
+        0.0
+    } else {
+        rng.gen_range(-3.5f64..6.5)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The half-state QAOA evolution (`StatevectorWorkspace::evolve_qaoa`:
+    /// lower half, reflected top-qubit pass, mirror) against the full-state
+    /// `apply_phase_levels` + `apply_rx_mixer` loop of the scalar oracle,
+    /// every amplitude compared by `to_bits` (zero signs included), under
+    /// both kernels and in one reused workspace.
+    #[test]
+    fn half_state_evolution_matches_the_full_state_loop_bitwise(
+        seed in 0u64..100_000,
+        qubits in 2usize..=12,
+        kind in 0usize..2,
+        layers in 1usize..=3,
+    ) {
+        let mut rng = seeded(seed);
+        let (levels, max_level) = symmetric_levels(kind, qubits, &mut rng);
+        let angles: Vec<(f64, f64)> = (0..layers)
+            .map(|_| (layer_angle(&mut rng), layer_angle(&mut rng)))
+            .collect();
+        let mut oracle = StateVector::uniform_superposition(qubits).amplitudes().to_vec();
+        for &(gamma, beta) in &angles {
+            reference::apply_phase_levels(&mut oracle, &levels, max_level, -gamma);
+            reference::apply_rx_mixer(&mut oracle, 2.0 * beta);
+        }
+        let layer_args = || angles.iter().map(|&(gamma, beta)| (-gamma, 2.0 * beta));
+        // A workspace that last held a larger, unrelated state: the half-state
+        // start must not read any of it.
+        let mut workspace = StatevectorWorkspace::with_qubits(qubits + 1);
+        workspace.begin_zero(qubits + 1);
+        for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
+            let state = with_kernel(mode, || {
+                workspace
+                    .evolve_qaoa(qubits, &levels, max_level, layer_args())
+                    .clone()
+            });
+            prop_assert_eq!(state.qubit_count(), qubits);
+            prop_assert!(
+                amplitude_bits(state.amplitudes()) == amplitude_bits(&oracle),
+                "{:?}: half-state evolution diverged from the full-state loop",
+                mode
+            );
+        }
+    }
+
+    /// `expectation_levels` gives the bits of `expectation_diagonal` over the
+    /// explicit `f64` table `f64::from(level)`, in both modules (tails of
+    /// states under 3 qubits included).
+    #[test]
+    fn expectation_levels_match_the_f64_table_bitwise(
+        seed in 0u64..100_000,
+        qubits in 1usize..=10,
+        kind in 0usize..3,
+        max_level in 0u8..=255,
+    ) {
+        let mut rng = seeded(seed);
+        let state = layer_start_state(kind, qubits, &mut rng).amplitudes().to_vec();
+        let levels = random_levels(state.len(), max_level, &mut rng);
+        let values: Vec<f64> = levels.iter().map(|&level| f64::from(level)).collect();
+        let expected = reference::expectation_diagonal(&state, &values).to_bits();
+        prop_assert_eq!(reference::expectation_levels(&state, &levels).to_bits(), expected);
+        prop_assert_eq!(vectorized::expectation_levels(&state, &levels).to_bits(), expected);
     }
 }
 
